@@ -2,21 +2,18 @@
 
 Fitted by weighted EM with deterministic seeding.  The mixture exposes the
 two quantities the learners need: log-density and its spatial gradient (the
-score).  Covariances are kept strictly positive definite by a jitter term and
-an eigenvalue floor, and their Cholesky factors are cached.
+score).  Covariances are kept positive definite by an eigenvalue floor.  A
+mixture stores W_j = L_j^{-1} (Sigma_j = L_j L_j^T) and its log-normaliser, so
+one batched z_j = W_j (x - mu_j) gives log N_j and the score.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import logsumexp
 
-JITTER = 1e-6
 VARIANCE_FLOOR = 1e-6
 COLLAPSE_WEIGHT = 1e-10
 MAX_REINITS = 3
@@ -25,12 +22,12 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class GaussianMixture:
-    """A k-component full-covariance Gaussian mixture in R^d."""
+    """A k-component full-covariance Gaussian mixture in R^d.  The whitening
+    matrices are derived at construction: build a new mixture, never edit one."""
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
-    cholesky_factors: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -39,12 +36,16 @@ class GaussianMixture:
         k = self.weights.shape[0]
         if self.means.shape[0] != k or self.covariances.shape[0] != k:
             raise ValueError("weights, means and covariances must agree on component count")
+        if not all(np.isfinite(a).all() for a in (self.weights, self.means, self.covariances)):
+            # np.linalg.cholesky would pass NaN through silently
+            raise ValueError("mixture parameters must be finite")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9 or np.any(self.weights < 0):
             raise ValueError("mixture weights must be a probability vector")
-        if self.cholesky_factors is None:
-            self.cholesky_factors = np.stack(
-                [cholesky(c, lower=True) for c in self.covariances]
-            )
+        # raises LinAlgError unless every covariance is positive definite
+        chol = np.linalg.cholesky(self.covariances)
+        self._whiteners = np.linalg.inv(chol)
+        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        self._log_norms = -0.5 * (self.dim * _LOG_2PI + log_det)
 
     @property
     def n_components(self) -> int:
@@ -54,18 +55,15 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _component_log_densities(self, x: np.ndarray) -> np.ndarray:
-        """(B, k) matrix of per-component Gaussian log-densities."""
-        b = x.shape[0]
-        out = np.empty((b, self.n_components))
-        for j in range(self.n_components):
-            chol = self.cholesky_factors[j]
-            diff = x - self.means[j]
-            solved = solve_triangular(chol, diff.T, lower=True)
-            quad = (solved**2).sum(axis=0)
-            log_det = 2.0 * np.log(np.diag(chol)).sum()
-            out[:, j] = -0.5 * (self.dim * _LOG_2PI + log_det + quad)
-        return out
+    def _whiten(self, x: np.ndarray) -> np.ndarray:
+        """(k, B, d) array of whitened offsets z_j = W_j (x - mu_j)."""
+        return (x[None, :, :] - self.means[:, None, :]) @ self._whiteners.transpose(0, 2, 1)
+
+    def _component_log_densities(self, z: np.ndarray) -> np.ndarray:
+        """(B, k) matrix of log w_j + log N_j, from the whitened offsets z."""
+        with np.errstate(divide="ignore"):
+            log_w = np.log(self.weights)
+        return (log_w + self._log_norms)[None, :] - 0.5 * np.einsum("kbi,kbi->bk", z, z)
 
     def to_json(self) -> dict:
         return {
@@ -95,32 +93,28 @@ def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
 def log_density(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray | float:
     """Log of the mixture density, evaluated stably via log-sum-exp."""
     xb, single = _as_batch(x, gmm.dim)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(gmm.weights)
-    out = logsumexp(log_w[None, :] + gmm._component_log_densities(xb), axis=1)
+    out = logsumexp(gmm._component_log_densities(gmm._whiten(xb)), axis=1)
     return float(out[0]) if single else out
 
 
 def score(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     """Gradient of log-density: responsibility-weighted sum of
-    Sigma_j^{-1} (mu_j - x)."""
+    Sigma_j^{-1} (mu_j - x) = -W_j^T z_j."""
     xb, single = _as_batch(x, gmm.dim)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(gmm.weights)
-    log_comp = log_w[None, :] + gmm._component_log_densities(xb)
+    z = gmm._whiten(xb)
+    log_comp = gmm._component_log_densities(z)
     resp = np.exp(log_comp - logsumexp(log_comp, axis=1, keepdims=True))
-    out = np.zeros_like(xb)
-    for j in range(gmm.n_components):
-        pulled = cho_solve(
-            (gmm.cholesky_factors[j], True), (gmm.means[j] - xb).T
-        ).T
-        out += resp[:, j][:, None] * pulled
+    out = -np.einsum("bk,kbi->bi", resp, z @ gmm._whiteners)
     return out[0] if single else out
 
 
 def _floor_covariance(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize, add jitter, clip eigenvalues at the variance floor."""
-    cov = 0.5 * (cov + cov.T) + JITTER * np.eye(cov.shape[0])
+    """Symmetrize and clip eigenvalues at the variance floor.
+
+    Clipping the sample covariance's eigenvalues is the exact maximiser of the
+    Gaussian likelihood under that floor, so EM stays monotone.
+    """
+    cov = 0.5 * (cov + cov.T)
     vals, vecs = np.linalg.eigh(cov)
     if vals.min() < VARIANCE_FLOOR:
         vals = np.maximum(vals, VARIANCE_FLOOR)
@@ -198,8 +192,7 @@ def fit_gmm(
     prev_ll = -np.inf
     reinits = 0
     for _ in range(max_iters):
-        with np.errstate(divide="ignore"):
-            log_comp = np.log(gmm.weights)[None, :] + gmm._component_log_densities(points)
+        log_comp = gmm._component_log_densities(gmm._whiten(points))
         log_norm = logsumexp(log_comp, axis=1)
         ll = float(weights @ log_norm)
         if not ll >= prev_ll - 1e-8:
@@ -220,14 +213,12 @@ def fit_gmm(
                     "reduce k or provide more spread-out data"
                 )
             dead = np.nonzero(nj < COLLAPSE_WEIGHT)[0]
+            means, covs, mix = gmm.means.copy(), gmm.covariances.copy(), gmm.weights.copy()
             for j in dead:
-                idx = int(rng.choice(n, p=weights))
-                gmm.means[j] = points[idx]
-                gmm.covariances[j] = global_cov
-                gmm.cholesky_factors[j] = cholesky(global_cov, lower=True)
-            mix = gmm.weights.copy()
+                means[j] = points[int(rng.choice(n, p=weights))]
+            covs[dead] = global_cov
             mix[dead] = 1.0 / k
-            gmm.weights = mix / mix.sum()
+            gmm = GaussianMixture(mix / mix.sum(), means, covs)
             prev_ll = -np.inf  # restart the monotonicity baseline after surgery
             continue
 

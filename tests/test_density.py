@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import jkoflow.density as density_mod
-from jkoflow.density import GaussianMixture, fit_gmm, log_density, score
+from jkoflow.datagen import GenConfig, generate
+from jkoflow.density import VARIANCE_FLOOR, GaussianMixture, fit_gmm, log_density, score
+from jkoflow.functionals import EnergySpec, GroundTruthFunction
 
 
 def fd_log_density_grad(gmm, x, h=1e-6):
@@ -25,6 +28,22 @@ def single_gaussian(mean, cov):
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     return GaussianMixture(np.array([1.0]), mean[None, :], cov[None, :, :])
+
+
+def reference_log_density_and_score(gmm, x):
+    """Per-component reference at a single point: log-sum-exp of the
+    component log-densities, and sum_j r_j Sigma_j^{-1} (mu_j - x)."""
+    d = x.shape[0]
+    logs, pulls = [], []
+    for w, mean, cov in zip(gmm.weights, gmm.means, gmm.covariances):
+        diff = x - mean
+        _, log_det = np.linalg.slogdet(cov)
+        quad = diff @ np.linalg.solve(cov, diff)
+        logs.append(math.log(w) - 0.5 * (d * math.log(2 * math.pi) + log_det + quad))
+        pulls.append(np.linalg.solve(cov, mean - x))
+    log_p = logsumexp(logs)
+    resp = np.exp(np.array(logs) - log_p)
+    return log_p, resp @ np.array(pulls)
 
 
 def weighted_loglik(gmm, points):
@@ -49,9 +68,26 @@ def test_k1_recovers_gaussian_moments():
     gmm = fit_gmm(points, k=1, seed=0)
     assert abs(gmm.means[0, 0] - 2.0) < 0.05
     assert abs(gmm.covariances[0, 0, 0] - 0.25) < 0.05
-    # and the fit is exactly the sample moments (up to the jitter term)
+    # and the fit is exactly the sample moments
     assert gmm.means[0, 0] == pytest.approx(points.mean(), abs=1e-12)
-    assert gmm.covariances[0, 0, 0] == pytest.approx(points.var() + 1e-6, abs=1e-9)
+    assert gmm.covariances[0, 0, 0] == pytest.approx(points.var(), abs=1e-9)
+
+
+def test_em_log_likelihood_is_monotone_on_diffusion_snapshot():
+    # a snapshot on which a jitter added to every M-step covariance made the
+    # log-likelihood fall by 2e-6, tripping fit_gmm's monotonicity assertion
+    spec = EnergySpec(
+        potential=GroundTruthFunction("sphere", 2),
+        interaction=GroundTruthFunction("sphere", 2),
+        beta=0.1,
+    )
+    seed = 3439617891
+    train, _ = generate(GenConfig(
+        spec=spec, n_particles=200, dim=2, timesteps=5, tau=0.01, seed=seed,
+    ))
+    snap = train.snapshots[1]
+    gmm = fit_gmm(snap.points, snap.weights, k=10, seed=seed)
+    assert gmm.n_components == 10
 
 
 def test_two_separated_clusters(rng):
@@ -159,6 +195,17 @@ def test_log_density_batch_matches_single(rng):
 # score
 
 
+def _anisotropic_3d_mixture():
+    # two rotated anisotropic components and an axis-aligned one whose first
+    # variance sits at the floor (axis-aligned, so the reference stays exact
+    # despite its 1e6 condition number)
+    q, _ = np.linalg.qr(np.array([[1.0, 0.3, -0.2], [0.4, -1.0, 0.5], [0.1, 0.7, 1.0]]))
+    rotated = [(q * v) @ q.T for v in ([2.0, 0.5, 0.1], [0.3, 1.5, 0.8])]
+    covs = np.stack([0.5 * (c + c.T) for c in rotated] + [np.diag([VARIANCE_FLOOR, 0.4, 1.2])])
+    means = np.array([[0.0, 0.0, 0.0], [1.0, -0.5, 0.3], [-0.4, 0.6, -0.2]])
+    return GaussianMixture(np.array([0.5, 0.3, 0.2]), means, covs)
+
+
 def test_score_single_gaussian_closed_form(rng):
     mean = np.array([1.0, -2.0])
     cov = np.array([[2.0, 0.6], [0.6, 1.0]])
@@ -167,6 +214,16 @@ def test_score_single_gaussian_closed_form(rng):
         x = rng.normal(size=2)
         expected = np.linalg.solve(cov, mean - x)
         np.testing.assert_allclose(score(gmm, x), expected, rtol=1e-10)
+
+
+def test_three_component_3d_matches_per_component_reference(rng):
+    gmm = _anisotropic_3d_mixture()
+    xs = rng.normal(size=(20, 3))
+    xs[:5] = gmm.means[-1] + 1e-3 * rng.normal(size=(5, 3))
+    for x in xs:
+        want_log, want_score = reference_log_density_and_score(gmm, x)
+        assert log_density(gmm, x) == pytest.approx(want_log, rel=1e-12)
+        np.testing.assert_allclose(score(gmm, x), want_score, rtol=1e-10)
 
 
 def test_score_vanishes_at_symmetric_mixture_center():
@@ -242,6 +299,19 @@ def test_mixture_weights_must_be_probabilities():
 def test_mixture_shape_mismatch():
     with pytest.raises(ValueError, match="component count"):
         GaussianMixture(np.array([1.0]), np.zeros((2, 1)), np.ones((2, 1, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_json_rejects_non_finite_covariance(bad):
+    payload = {"weights": [1.0], "means": [[0.0, 0.0]], "covariances": [[[1.0, 0.0], [0.0, bad]]]}
+    with pytest.raises(ValueError, match="finite"):
+        GaussianMixture.from_json(payload)
+
+
+def test_from_json_rejects_non_positive_definite_covariance():
+    payload = {"weights": [1.0], "means": [[0.0, 0.0]], "covariances": [[[1.0, 2.0], [2.0, 1.0]]]}
+    with pytest.raises(np.linalg.LinAlgError):
+        GaussianMixture.from_json(payload)
 
 
 def test_wrong_point_dimension_rejected(rng):
