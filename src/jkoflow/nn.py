@@ -4,8 +4,12 @@ The fitting objective penalizes a residual built from gradients of the
 networks, so training needs d(loss)/d(parameters) of expressions containing
 d(net)/d(input).  Rather than pulling in an autodiff framework, the two-pass
 computation (forward pass, then input-gradient backward pass) is written out
-as explicit primitives and reverse-differentiated by hand; see
-``gradient_and_adjoint``.  Everything is float64 numpy.
+as explicit primitives and reverse-differentiated by hand.  ``_tape`` runs
+both passes once over a batch and returns the input gradients together with
+a pullback that maps a cotangent on them to parameter gradients, reusing the
+pass's activations instead of recomputing them; ``gradient_and_adjoint`` and
+the fitting loss are built on it.  ``input_gradient`` runs the same passes
+without keeping a tape.  Everything is float64 numpy.
 
 Architecture: affine layers with softplus hidden activations and a linear
 scalar output.  Weights start Gaussian with std sqrt(1/fan_in), biases zero.
@@ -14,6 +18,7 @@ scalar output.  Weights start Gaussian with std sqrt(1/fan_in), biases zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,19 +26,48 @@ from .density import GaussianMixture, score
 
 HIDDEN_WIDTHS = (64, 64)
 
+# pairs (query row, population point) per interaction-net pass: bounds the
+# pair arrays, and in the loss the live tape, to this many rows
+PAIR_CHUNK = 500_000
+
+# rows per block of the fused activation, so its temporaries stay small
+ACTIVATION_BLOCK_ROWS = 2048
+
 
 def softplus(z: np.ndarray) -> np.ndarray:
     # log(1 + e^z) computed without overflow on either tail
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
+def _sigmoid_from_exp(
+    z: np.ndarray, e: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    # sigmoid(z) given e = exp(-|z|): 1/(1+e) for z >= 0, e/(1+e) below, so
+    # neither tail overflows
+    den = np.add(e, 1.0, out=out)
+    return np.divide(np.where(z >= 0, 1.0, e), den, out=out)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return _sigmoid_from_exp(z, np.exp(-np.abs(z)))
+
+
+def _softplus_and_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softplus(z) and sigmoid(z) for a 2-d z, bit for bit, from one
+    exp(-|z|).  Each row block is computed in place in the outputs, so beside
+    z only the two outputs are as large as z."""
+    acts = np.empty_like(z)
+    sigs = np.empty_like(z)
+    for start in range(0, z.shape[0], ACTIVATION_BLOCK_ROWS):
+        rows = slice(start, start + ACTIVATION_BLOCK_ROWS)
+        e = acts[rows]  # exp(-|z|) first, then softplus over it
+        np.abs(z[rows], out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        _sigmoid_from_exp(z[rows], e, out=sigs[rows])
+        np.log1p(e, out=e)
+        e += np.maximum(z[rows], 0.0)
+    return acts, sigs
 
 
 @dataclass
@@ -67,15 +101,16 @@ def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> Mlp:
 
 
 def _forward_cache(mlp: Mlp, x: np.ndarray):
-    """Activations A, pre-activations Z and hidden sigmoids S for a batch."""
+    """Activations A and hidden sigmoids S for a batch."""
     activations = [x]
     sigmoids = []
     n_layers = len(mlp.weights)
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         z = activations[-1] @ w.T + b
         if l < n_layers - 1:
-            sigmoids.append(sigmoid(z))
-            activations.append(softplus(z))
+            act, sig = _softplus_and_sigmoid(z)
+            sigmoids.append(sig)
+            activations.append(act)
         else:
             activations.append(z)
     return activations, sigmoids
@@ -99,28 +134,14 @@ def input_gradient(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     return g[0] if np.asarray(x).ndim == 1 else g
 
 
-def gradient_and_adjoint(
-    mlp: Mlp, x: np.ndarray, cotangent: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Input gradients G plus parameter gradients of sum_b <cotangent_b, G_b>.
+def _tape(mlp: Mlp, xb: np.ndarray):
+    """Input gradients G of a 2-d batch, and the pullback
+    cot -> (d_weights, d_biases) of sum_b <cot_b, G_b>.
 
-    The primal computation is the pair of passes
-        forward:   Z^l = A^{l-1} W^l^T + b^l,  A^l = softplus(Z^l),  A^L = Z^L
-        backward:  P^L = 1,  Q^{l+1} = P^{l+1} W^{l+1},  P^l = Q^{l+1} * S^l,
-                   G = P^1 W^1
-    with S^l = sigmoid(Z^l).  Differentiating that graph in reverse gives, for
-    phi = <cotangent, G>:
-        Pbar^1 = cotangent W^1^T,            Wbar^1 += P^1^T cotangent
-        Sbar^l = Pbar^l * Q^{l+1},           Qbar^{l+1} = Pbar^l * S^l
-        Wbar^{l+1} += P^{l+1}^T Qbar^{l+1},  Pbar^{l+1} = Qbar^{l+1} W^{l+1}
-    ascending l, then descending through the forward chain:
-        Zbar^l = Sbar^l * S^l (1 - S^l) + Abar^l * S^l
-        Wbar^l += Zbar^l^T A^{l-1},  bbar^l += sum_b Zbar^l,
-        Abar^{l-1} = Zbar^l W^l
-    (the output layer's Z carries no adjoint: phi never reads the net's value).
+    The pullback closes over this pass's activations, sigmoids and P/Q
+    arrays, so they stay alive as long as it does; see
+    ``gradient_and_adjoint`` for the equations.
     """
-    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    cot = np.atleast_2d(np.asarray(cotangent, dtype=np.float64))
     n_layers = len(mlp.weights)
     activations, sigmoids = _forward_cache(mlp, xb)
 
@@ -132,28 +153,69 @@ def gradient_and_adjoint(
         ps[l] = qs[l + 1] * sigmoids[l - 1]
     grads = ps[1] @ mlp.weights[0]
 
-    d_weights = [np.zeros_like(w) for w in mlp.weights]
-    d_biases = [np.zeros_like(b) for b in mlp.biases]
-    d_weights[0] += ps[1].T @ cot
-    p_bar = cot @ mlp.weights[0].T
-    s_bar: list[np.ndarray | None] = [None] * n_layers
-    for l in range(1, n_layers):
-        s_bar[l] = p_bar * qs[l + 1]
-        q_bar = p_bar * sigmoids[l - 1]
-        d_weights[l] += ps[l + 1].T @ q_bar
-        p_bar = q_bar @ mlp.weights[l].T
+    def pullback(cot: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        d_weights = [np.zeros_like(w) for w in mlp.weights]
+        d_biases = [np.zeros_like(b) for b in mlp.biases]
+        d_weights[0] += ps[1].T @ cot
+        p_bar = cot @ mlp.weights[0].T
+        s_bar: list[np.ndarray | None] = [None] * n_layers
+        for l in range(1, n_layers):
+            s_bar[l] = p_bar * qs[l + 1]
+            q_bar = p_bar * sigmoids[l - 1]
+            d_weights[l] += ps[l + 1].T @ q_bar
+            p_bar = q_bar @ mlp.weights[l].T
 
-    a_bar = None
-    for l in range(n_layers - 1, 0, -1):
-        s = sigmoids[l - 1]
-        z_bar = s_bar[l] * s * (1.0 - s)
-        if a_bar is not None:
-            z_bar = z_bar + a_bar * s
-        d_weights[l - 1] += z_bar.T @ activations[l - 1]
-        d_biases[l - 1] += z_bar.sum(axis=0)
-        if l > 1:
-            a_bar = z_bar @ mlp.weights[l - 1]
+        a_bar = None
+        for l in range(n_layers - 1, 0, -1):
+            s = sigmoids[l - 1]
+            z_bar = s_bar[l] * s * (1.0 - s)
+            if a_bar is not None:
+                z_bar = z_bar + a_bar * s
+            d_weights[l - 1] += z_bar.T @ activations[l - 1]
+            d_biases[l - 1] += z_bar.sum(axis=0)
+            if l > 1:
+                a_bar = z_bar @ mlp.weights[l - 1]
+        return d_weights, d_biases
+
+    return grads, pullback
+
+
+def gradient_and_adjoint(
+    mlp: Mlp, x: np.ndarray, cotangent: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Input gradients G plus parameter gradients of sum_b <cotangent_b, G_b>:
+    one ``_tape`` over the batch, then its pullback of ``cotangent``.
+
+    The tape records the pair of passes
+        forward:   Z^l = A^{l-1} W^l^T + b^l,  A^l = softplus(Z^l),  A^L = Z^L
+        backward:  P^L = 1,  Q^{l+1} = P^{l+1} W^{l+1},  P^l = Q^{l+1} * S^l,
+                   G = P^1 W^1
+    with S^l = sigmoid(Z^l), and keeps A, S, P and Q.  The pullback
+    differentiates that graph in reverse for phi = <cotangent, G>:
+        Pbar^1 = cotangent W^1^T,            Wbar^1 += P^1^T cotangent
+        Sbar^l = Pbar^l * Q^{l+1},           Qbar^{l+1} = Pbar^l * S^l
+        Wbar^{l+1} += P^{l+1}^T Qbar^{l+1},  Pbar^{l+1} = Qbar^{l+1} W^{l+1}
+    ascending l, then descending through the forward chain:
+        Zbar^l = Sbar^l * S^l (1 - S^l) + Abar^l * S^l
+        Wbar^l += Zbar^l^T A^{l-1},  bbar^l += sum_b Zbar^l,
+        Abar^{l-1} = Zbar^l W^l
+    (the output layer's Z carries no adjoint: phi never reads the net's value).
+    """
+    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    cot = np.atleast_2d(np.asarray(cotangent, dtype=np.float64))
+    grads, pullback = _tape(mlp, xb)
+    d_weights, d_biases = pullback(cot)
     return grads, d_weights, d_biases
+
+
+def _pair_chunk_rows(n_points: int) -> int:
+    """Query rows per interaction-net pass against ``n_points`` points."""
+    return max(1, PAIR_CHUNK // max(n_points, 1))
+
+
+def _pair_differences(block: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """x_i - y_j for every pair, row i * len(points) + j."""
+    return (block[:, None, :] - points[None, :, :]).reshape(-1, block.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +268,10 @@ class MlpEnergyModel:
         if self.interaction_net is None:
             return np.zeros_like(x)
         out = np.empty_like(x)
-        chunk = max(1, int(500_000 // max(points.shape[0], 1)))
+        chunk = _pair_chunk_rows(points.shape[0])
         for start in range(0, x.shape[0], chunk):
             block = x[start : start + chunk]
-            diff = (block[:, None, :] - points[None, :, :]).reshape(-1, x.shape[1])
-            g = input_gradient(self.interaction_net, diff)
+            g = input_gradient(self.interaction_net, _pair_differences(block, points))
             g = g.reshape(block.shape[0], points.shape[0], x.shape[1])
             out[start : start + chunk] = np.einsum("bnd,n->bd", g, weights)
         return out
@@ -309,19 +370,25 @@ def loss_and_param_gradient(
 
     ``interaction_subsample`` > 0 replaces the full interaction mean by a
     weighted subsample of that size, drawn from ``subsample_rng``.
+
+    Each net runs once per call: one ``_tape`` serves both the residual and
+    the parameter gradients.  The interaction net gets one tape per chunk of
+    at most ``PAIR_CHUNK`` pairs.
     """
     x_start = np.atleast_2d(np.asarray(x_start, dtype=np.float64))
     x_end = np.atleast_2d(np.asarray(x_end, dtype=np.float64))
     masses = np.asarray(masses, dtype=np.float64)
     d = model.dim
+    n = x_end.shape[0]
 
     inputs_v = model._with_time(x_end, time_input)
-    grad_v = input_gradient(model.potential_net, inputs_v)[:, :d]
+    grad_v, pullback_v = _tape(model.potential_net, inputs_v)
+    residual = grad_v[:, :d] + (x_end - x_start) / tau
 
-    residual = grad_v + (x_end - x_start) / tau
-
+    net_int = model.interaction_net
     pop_points = pop_weights = None
-    if model.interaction_net is not None:
+    chunk = max(n, 1)
+    if net_int is not None:
         if snapshot_next is None:
             raise ValueError("interaction term needs the next snapshot")
         pop_points, pop_weights = snapshot_next
@@ -333,42 +400,48 @@ def loss_and_param_gradient(
             )
             pop_points = pop_points[idx]
             pop_weights = np.full(interaction_subsample, 1.0 / interaction_subsample)
-        residual = residual + model.grad_interaction_mean(x_end, pop_points, pop_weights)
+        chunk = _pair_chunk_rows(pop_points.shape[0])
+        grads_int = [np.zeros_like(p) for p in (*net_int.weights, *net_int.biases)]
 
     score_vals = None
     if model.beta_raw is not None:
         if gmm_next is None:
             raise ValueError("internal-energy term needs a density estimate")
         score_vals = score(gmm_next, x_end)
-        residual = residual + model.beta * score_vals
+        beta = model.beta
+
+    # Residual rows are finished and pulled back one pair chunk at a time, so
+    # only one chunk's interaction tape is alive at once.
+    cot = np.empty_like(residual)
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        if net_int is not None:
+            block = x_end[rows]
+            g, pullback_int = _tape(net_int, _pair_differences(block, pop_points))
+            g = g.reshape(block.shape[0], pop_points.shape[0], d)
+            residual[rows] += np.einsum("bnd,n->bd", g, pop_weights)
+        if score_vals is not None:
+            residual[rows] += beta * score_vals[rows]
+        cot[rows] = 2.0 * masses[rows, None] * residual[rows]
+        if net_int is not None:
+            # pair (i, j) contributes weight w_j inside the mean, so its
+            # cotangent is w_j * cot_i
+            pair_cot = (cot[rows, None, :] * pop_weights[None, :, None]).reshape(-1, d)
+            for acc, delta in zip(grads_int, chain(*pullback_int(pair_cot))):
+                acc += delta
+            del g, pullback_int, pair_cot  # free the tape before the next chunk's
 
     loss = float(masses @ (residual**2).sum(axis=1))
-    cot = 2.0 * masses[:, None] * residual
 
     if model.time_conditioned:
         cot_v = np.hstack([cot, np.zeros((cot.shape[0], 1))])
     else:
         cot_v = cot
-    _, dw_pot, db_pot = gradient_and_adjoint(model.potential_net, inputs_v, cot_v)
+    dw_pot, db_pot = pullback_v(cot_v)
 
     grads = list(dw_pot) + list(db_pot)
-    if model.interaction_net is not None:
-        dw_int = [np.zeros_like(w) for w in model.interaction_net.weights]
-        db_int = [np.zeros_like(b) for b in model.interaction_net.biases]
-        m = pop_points.shape[0]
-        chunk = max(1, int(500_000 // m))
-        for start in range(0, x_end.shape[0], chunk):
-            block = x_end[start : start + chunk]
-            diff = (block[:, None, :] - pop_points[None, :, :]).reshape(-1, d)
-            # pair (i, j) contributes weight w_j inside the mean, so its
-            # cotangent is w_j * cot_i
-            pair_cot = (cot[start : start + chunk, None, :] * pop_weights[None, :, None]).reshape(-1, d)
-            _, dws, dbs = gradient_and_adjoint(model.interaction_net, diff, pair_cot)
-            for acc, delta in zip(dw_int, dws):
-                acc += delta
-            for acc, delta in zip(db_int, dbs):
-                acc += delta
-        grads += dw_int + db_int
+    if net_int is not None:
+        grads += grads_int
     if model.beta_raw is not None:
         d_beta = float((cot * score_vals).sum()) * float(sigmoid(model.beta_raw))
         grads.append(np.asarray(d_beta))

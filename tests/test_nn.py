@@ -10,12 +10,14 @@ is checked against a separate naive reimplementation.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jkoflow.density import GaussianMixture, score
 from jkoflow.nn import (
+    PAIR_CHUNK,
     AdamState,
     Mlp,
     MlpEnergyModel,
@@ -29,6 +31,7 @@ from jkoflow.nn import (
     sigmoid,
     softplus,
     softplus_inverse,
+    _softplus_and_sigmoid,
 )
 
 
@@ -61,6 +64,17 @@ def test_sigmoid_matches_naive_and_is_stable():
     np.testing.assert_allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), rtol=1e-12)
     assert sigmoid(np.array([1000.0]))[0] == 1.0
     assert sigmoid(np.array([-1000.0]))[0] == 0.0
+
+
+def test_fused_activation_matches_softplus_and_sigmoid_bit_for_bit():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 1000.0, -1000.0, np.nan]
+    z = np.concatenate([np.array(edges), _rng(30).normal(size=5000) * 20.0])
+    # more rows than one activation block, and several columns
+    z = np.tile(z[:, None], (1, 3))
+    z[:, 1] = -z[:, 1]
+    acts, sigs = _softplus_and_sigmoid(z)
+    np.testing.assert_array_equal(acts, softplus(z))
+    np.testing.assert_array_equal(sigs, sigmoid(z))
 
 
 def test_softplus_inverse_round_trip():
@@ -167,6 +181,23 @@ def test_input_gradient_batch_matches_single():
     batch = input_gradient(mlp, xs)
     singles = np.stack([input_gradient(mlp, x) for x in xs])
     np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=1e-16)
+
+
+def test_input_gradient_peak_memory():
+    # the pass keeps A and S of each hidden layer plus the backward products;
+    # a fused activation with full-size temporaries beside its outputs would
+    # lift the peak past this
+    rng = _rng(31)
+    mlp = init_mlp([2, 64, 64, 1], rng)
+    x = rng.normal(size=(22_500, 2))
+    input_gradient(mlp, x)
+    tracemalloc.start()
+    try:
+        input_gradient(mlp, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 22_500 * 64 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +497,82 @@ def test_interaction_subsample_full_size_is_exact_and_smaller_needs_rng():
         interaction_subsample=2, subsample_rng=np.random.default_rng(0),
     )
     assert np.isfinite(sub)
+
+
+def _two_pass_loss(model, x0, x1, masses, tau, pop=None, pw=None, gmm=None, time_input=None):
+    # the residual from input gradients, then every net's passes again inside
+    # gradient_and_adjoint for the parameter gradients
+    d = model.dim
+    inputs_v = model._with_time(x1, time_input)
+    residual = input_gradient(model.potential_net, inputs_v)[:, :d] + (x1 - x0) / tau
+    if pop is not None:
+        residual = residual + model.grad_interaction_mean(x1, pop, pw)
+    if gmm is not None:
+        score_vals = score(gmm, x1)
+        residual = residual + model.beta * score_vals
+    loss = float(masses @ (residual**2).sum(axis=1))
+    cot = 2.0 * masses[:, None] * residual
+    cot_v = np.hstack([cot, np.zeros((cot.shape[0], 1))]) if model.time_conditioned else cot
+    _, dw, db = gradient_and_adjoint(model.potential_net, inputs_v, cot_v)
+    grads = dw + db
+    if pop is not None:
+        dw_int = [np.zeros_like(w) for w in model.interaction_net.weights]
+        db_int = [np.zeros_like(b) for b in model.interaction_net.biases]
+        chunk = max(1, PAIR_CHUNK // pop.shape[0])
+        for start in range(0, x1.shape[0], chunk):
+            block = x1[start : start + chunk]
+            diff = (block[:, None, :] - pop[None, :, :]).reshape(-1, d)
+            pair_cot = (cot[start : start + chunk, None, :] * pw[None, :, None]).reshape(-1, d)
+            _, dws, dbs = gradient_and_adjoint(model.interaction_net, diff, pair_cot)
+            for acc, delta in zip(dw_int + db_int, dws + dbs):
+                acc += delta
+        grads += dw_int + db_int
+    if gmm is not None:
+        grads.append(np.asarray(float((cot * score_vals).sum()) * float(sigmoid(model.beta_raw))))
+    return loss, grads
+
+
+@pytest.mark.parametrize("case", ["potential", "time", "interaction_beta_chunked", "subsample"])
+def test_loss_matches_two_pass_reference_bit_for_bit(case):
+    rng = _rng(32)
+    n, tau = 40, 0.1
+    kwargs, ref = {}, {}
+    if case == "potential":
+        model = build_model(dim=2, seed=22)
+    elif case == "time":
+        model = build_model(dim=1, seed=23, time_conditioned=True, hidden=(6, 5))
+        kwargs = ref = {"time_input": 0.7}
+    elif case == "interaction_beta_chunked":
+        # 2000 population points give 250-row chunks: three over 600 rows
+        model = build_model(dim=2, seed=24, with_interaction=True, with_internal=True, hidden=(3, 3))
+        n = 600
+        pop = rng.normal(size=(2000, 2))
+        pw = rng.uniform(0.5, 1.0, size=2000)
+        pw /= pw.sum()
+        gmm = _unit_gmm(2)
+        kwargs = {"snapshot_next": (pop, pw), "gmm_next": gmm}
+        ref = {"pop": pop, "pw": pw, "gmm": gmm}
+    else:
+        model = build_model(dim=2, seed=25, with_interaction=True, with_internal=True, hidden=(5, 4))
+        pop = rng.normal(size=(30, 2))
+        pw = rng.uniform(0.5, 1.0, size=30)
+        pw /= pw.sum()
+        gmm = _unit_gmm(2)
+        kwargs = {
+            "snapshot_next": (pop, pw), "gmm_next": gmm,
+            "interaction_subsample": 10, "subsample_rng": np.random.default_rng(3),
+        }
+        idx = np.random.default_rng(3).choice(30, size=10, replace=False, p=pw)
+        ref = {"pop": pop[idx], "pw": np.full(10, 0.1), "gmm": gmm}
+    x0 = rng.normal(size=(n, model.dim))
+    x1 = rng.normal(size=(n, model.dim))
+    masses = rng.uniform(0.1, 1.0, size=n)
+    loss, grads = loss_and_param_gradient(model, x0, x1, masses, tau, **kwargs)
+    want_loss, want_grads = _two_pass_loss(model, x0, x1, masses, tau, **ref)
+    assert loss == want_loss
+    assert len(grads) == len(want_grads) == len(model.parameters())
+    for got, want in zip(grads, want_grads):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
