@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .functionals import EnergySpec, GroundTruthFunction
-from .measures import EmpiricalSnapshot, PopulationTrajectory, uniform_snapshot
+from .measures import EmpiricalSnapshot, PopulationTrajectory, pairwise_mean, uniform_snapshot
 
 IMPLICIT_TOL = 1e-8
 IMPLICIT_MAX_ITERS = 200
@@ -78,15 +78,7 @@ def interaction_gradient_mean(
     n = population.shape[0]
     if weights is None:
         weights = np.full(n, 1.0 / n)
-    out = np.empty_like(points)
-    chunk = max(1, int(2_000_000 // max(n, 1)))
-    for start in range(0, points.shape[0], chunk):
-        block = points[start : start + chunk]
-        diff = block[:, None, :] - population[None, :, :]
-        grads = fn.gradient(diff.reshape(-1, points.shape[1]))
-        grads = grads.reshape(block.shape[0], n, points.shape[1])
-        out[start : start + chunk] = np.einsum("bnd,n->bd", grads, weights)
-    return out
+    return pairwise_mean(fn.gradient, points, population, weights, points.shape[1])
 
 
 def explicit_step(

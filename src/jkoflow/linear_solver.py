@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .density import GaussianMixture, score
 from .features import FeatureMap, eval_features, jacobian_features
-from .measures import Coupling, EmpiricalSnapshot, PopulationTrajectory
+from .measures import Coupling, EmpiricalSnapshot, PopulationTrajectory, pairwise_mean
 
 logger = logging.getLogger(__name__)
 
@@ -112,9 +113,10 @@ class LinearEnergyModel:
         x = np.atleast_2d(x)
         if self.interaction_map is None:
             return np.zeros_like(x)
-        theta2 = self.theta_blocks()[1]
-        rows = _interaction_rows(self.interaction_map, x, points, weights)
-        return np.einsum("nad,a->nd", rows, theta2)
+        fm = self.interaction_map
+        jac = partial(jacobian_features, fm)
+        rows = pairwise_mean(jac, x, points, weights, fm.n_features * fm.dim)
+        return np.einsum("nad,a->nd", rows, self.theta_blocks()[1])
 
     def potential_value(self, x: np.ndarray) -> np.ndarray:
         if self.potential_map is None:
@@ -165,22 +167,6 @@ class LinearEnergyModel:
         )
 
 
-def _interaction_rows(
-    fm: FeatureMap, x: np.ndarray, points: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Population-averaged feature Jacobian of differences: (B, n_features, d)."""
-    b, d = x.shape
-    m = points.shape[0]
-    out = np.empty((b, fm.n_features, d))
-    chunk = max(1, int(1_000_000 // max(m * fm.n_features // 8, 1)))
-    for start in range(0, b, chunk):
-        block = x[start : start + chunk]
-        diff = (block[:, None, :] - points[None, :, :]).reshape(-1, d)
-        jac = jacobian_features(fm, diff).reshape(block.shape[0], m, fm.n_features, d)
-        out[start : start + chunk] = np.einsum("bmad,m->bad", jac, weights)
-    return out
-
-
 def build_row(
     model: LinearEnergyModel,
     x: np.ndarray,
@@ -200,7 +186,10 @@ def build_row(
     if model.interaction_map is not None:
         if snapshot is None:
             raise ValueError("interaction block needs a snapshot to average over")
-        parts.append(_interaction_rows(model.interaction_map, x, snapshot.points, snapshot.weights))
+        fm = model.interaction_map
+        jac = partial(jacobian_features, fm)
+        width = fm.n_features * fm.dim
+        parts.append(pairwise_mean(jac, x, snapshot.points, snapshot.weights, width))
     if model.use_internal:
         if gmm is None:
             raise ValueError("internal block needs a density estimate for this snapshot")

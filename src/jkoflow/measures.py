@@ -4,7 +4,8 @@ A snapshot is a weighted point cloud; a trajectory is a time-ordered list of
 snapshots sharing a dimension and a step size tau.  Couplings are sparse
 transport plans between consecutive snapshots.  Trajectories round-trip
 through a plain directory layout: ``metadata.json`` plus one CSV per snapshot
-(and optionally one CSV per coupling).
+(and optionally one CSV per coupling).  ``pairwise_mean`` averages a function
+of x - y over a population, in row blocks under one memory budget.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
 WEIGHT_ATOL = 1e-9
 COUPLING_ATOL = 1e-8
+PAIR_BUDGET = 8_000_000  # float64 entries in the widest per-pair array of one pair block
 
 _SNAPSHOT_RE = re.compile(r"snapshot_(\d{5})\.csv$")
 
@@ -165,6 +168,30 @@ def check_coupling_marginals(
             "coupling marginals do not match the measures: "
             f"source err {row_err:.3e}, target err {col_err:.3e} (tol {COUPLING_ATOL})"
         )
+
+
+def pair_chunks(
+    x: np.ndarray, points: np.ndarray, width: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row blocks of ``x`` with their differences x_i - y_j, pair (i, j) in row
+    i * len(points) + j.  A block keeps the caller's widest per-pair array,
+    ``width`` entries a pair, within ``PAIR_BUDGET``; an empty ``x`` is one block."""
+    rows = max(1, PAIR_BUDGET // (points.shape[0] * width))
+    for start in range(0, max(x.shape[0], 1), rows):
+        block = slice(start, start + rows)
+        yield block, (x[block, None, :] - points[None, :, :]).reshape(-1, x.shape[1])
+
+
+def pairwise_mean(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, points: np.ndarray,
+                  weights: np.ndarray, width: int) -> np.ndarray:
+    """sum_j weights_j fn(x_i - y_j) for each row x_i, shape (len(x), ...),
+    where ``fn`` maps (pairs, d) differences to (pairs, ...) values."""
+    means = []
+    for _, diff in pair_chunks(x, points, width):
+        values = fn(diff)
+        values = values.reshape(-1, points.shape[0], *values.shape[1:])
+        means.append(np.einsum("bm...,m->b...", values, weights))
+    return np.concatenate(means)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,9 @@ from itertools import chain
 import numpy as np
 
 from .density import GaussianMixture, score
+from .measures import pair_chunks, pairwise_mean
 
 HIDDEN_WIDTHS = (64, 64)
-
-# pairs (query row, population point) per interaction-net pass: bounds the
-# pair arrays, and in the loss the live tape, to this many rows
-PAIR_CHUNK = 500_000
 
 # rows per block of the fused activation, so its temporaries stay small
 ACTIVATION_BLOCK_ROWS = 2048
@@ -87,6 +84,11 @@ class Mlp:
     def input_dim(self) -> int:
         return self.weights[0].shape[1]
 
+    @property
+    def width(self) -> int:
+        """Widest layer, input included: entries per row of a pass's widest array."""
+        return max(max(w.shape) for w in self.weights)
+
 
 def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> Mlp:
     """Fresh network for the given [in, hidden..., 1] widths."""
@@ -125,10 +127,13 @@ def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
 def input_gradient(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     """d(output)/d(input), shape matching x."""
     xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    _, sigmoids = _forward_cache(mlp, xb)
-    n_layers = len(mlp.weights)
+    # the backward pass reads only the hidden sigmoids: keep no activation
+    a, sigmoids = xb, []
+    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+        a, sig = _softplus_and_sigmoid(a @ w.T + b)
+        sigmoids.append(sig)
     p = np.ones((xb.shape[0], 1))
-    for l in range(n_layers - 1, 0, -1):
+    for l in range(len(mlp.weights) - 1, 0, -1):
         p = (p @ mlp.weights[l]) * sigmoids[l - 1]
     g = p @ mlp.weights[0]
     return g[0] if np.asarray(x).ndim == 1 else g
@@ -208,16 +213,6 @@ def gradient_and_adjoint(
     return grads, d_weights, d_biases
 
 
-def _pair_chunk_rows(n_points: int) -> int:
-    """Query rows per interaction-net pass against ``n_points`` points."""
-    return max(1, PAIR_CHUNK // max(n_points, 1))
-
-
-def _pair_differences(block: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """x_i - y_j for every pair, row i * len(points) + j."""
-    return (block[:, None, :] - points[None, :, :]).reshape(-1, block.shape[1])
-
-
 # ---------------------------------------------------------------------------
 # the trainable energy model
 
@@ -265,16 +260,10 @@ class MlpEnergyModel:
     def grad_interaction_mean(
         self, x: np.ndarray, points: np.ndarray, weights: np.ndarray
     ) -> np.ndarray:
-        if self.interaction_net is None:
+        net = self.interaction_net
+        if net is None:
             return np.zeros_like(x)
-        out = np.empty_like(x)
-        chunk = _pair_chunk_rows(points.shape[0])
-        for start in range(0, x.shape[0], chunk):
-            block = x[start : start + chunk]
-            g = input_gradient(self.interaction_net, _pair_differences(block, points))
-            g = g.reshape(block.shape[0], points.shape[0], x.shape[1])
-            out[start : start + chunk] = np.einsum("bnd,n->bd", g, weights)
-        return out
+        return pairwise_mean(lambda diff: input_gradient(net, diff), x, points, weights, net.width)
 
     def parameters(self) -> list[np.ndarray]:
         """Live parameter arrays, in a fixed order the optimizer relies on."""
@@ -372,22 +361,21 @@ def loss_and_param_gradient(
     weighted subsample of that size, drawn from ``subsample_rng``.
 
     Each net runs once per call: one ``_tape`` serves both the residual and
-    the parameter gradients.  The interaction net gets one tape per chunk of
-    at most ``PAIR_CHUNK`` pairs.
+    the parameter gradients.  The interaction net gets one tape per pair
+    block of ``measures.pair_chunks``, whose budget bounds each of that
+    tape's arrays.
     """
     x_start = np.atleast_2d(np.asarray(x_start, dtype=np.float64))
     x_end = np.atleast_2d(np.asarray(x_end, dtype=np.float64))
     masses = np.asarray(masses, dtype=np.float64)
     d = model.dim
-    n = x_end.shape[0]
 
     inputs_v = model._with_time(x_end, time_input)
     grad_v, pullback_v = _tape(model.potential_net, inputs_v)
     residual = grad_v[:, :d] + (x_end - x_start) / tau
 
     net_int = model.interaction_net
-    pop_points = pop_weights = None
-    chunk = max(n, 1)
+    blocks = [(slice(None), None)]  # without pairs, all rows are one block
     if net_int is not None:
         if snapshot_next is None:
             raise ValueError("interaction term needs the next snapshot")
@@ -400,7 +388,7 @@ def loss_and_param_gradient(
             )
             pop_points = pop_points[idx]
             pop_weights = np.full(interaction_subsample, 1.0 / interaction_subsample)
-        chunk = _pair_chunk_rows(pop_points.shape[0])
+        blocks = pair_chunks(x_end, pop_points, net_int.width)
         grads_int = [np.zeros_like(p) for p in (*net_int.weights, *net_int.biases)]
 
     score_vals = None
@@ -410,15 +398,13 @@ def loss_and_param_gradient(
         score_vals = score(gmm_next, x_end)
         beta = model.beta
 
-    # Residual rows are finished and pulled back one pair chunk at a time, so
-    # only one chunk's interaction tape is alive at once.
+    # Residual rows are finished and pulled back one pair block at a time, so
+    # only one block's interaction tape is alive at once.
     cot = np.empty_like(residual)
-    for start in range(0, n, chunk):
-        rows = slice(start, start + chunk)
+    for rows, diff in blocks:
         if net_int is not None:
-            block = x_end[rows]
-            g, pullback_int = _tape(net_int, _pair_differences(block, pop_points))
-            g = g.reshape(block.shape[0], pop_points.shape[0], d)
+            g, pullback_int = _tape(net_int, diff)
+            g = g.reshape(-1, pop_points.shape[0], d)
             residual[rows] += np.einsum("bnd,n->bd", g, pop_weights)
         if score_vals is not None:
             residual[rows] += beta * score_vals[rows]
@@ -429,7 +415,7 @@ def loss_and_param_gradient(
             pair_cot = (cot[rows, None, :] * pop_weights[None, :, None]).reshape(-1, d)
             for acc, delta in zip(grads_int, chain(*pullback_int(pair_cot))):
                 acc += delta
-            del g, pullback_int, pair_cot  # free the tape before the next chunk's
+            del diff, g, pullback_int, pair_cot  # free the tape before the next block's
 
     loss = float(masses @ (residual**2).sum(axis=1))
 

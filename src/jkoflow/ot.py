@@ -295,6 +295,10 @@ def solve_sinkhorn(
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
     _count_solve()
     st = source.time_index if source_time is None else source_time
     tt = target.time_index if target_time is None else target_time

@@ -117,15 +117,22 @@ def test_interaction_gradient_mean_weighted():
     np.testing.assert_allclose(out, [[-6.0]], rtol=1e-15)
 
 
-def test_interaction_gradient_mean_chunked_matches_direct():
-    # population of 2000 forces a 1000-row chunk, so 1500 query rows span two
+def test_interaction_gradient_mean_chunked_matches_direct(monkeypatch):
+    # a budget of 250 rows per block against 300 points: 700 query rows span three
     rng = np.random.default_rng(7)
-    pop = rng.normal(size=(2000, 2))
-    pts = rng.normal(size=(1500, 2))
+    pop = rng.normal(size=(300, 2))
+    pts = rng.normal(size=(700, 2))
     fn = _sphere(2)
+    gradient = fn.gradient
+    blocks = []
+    monkeypatch.setattr(
+        GroundTruthFunction, "gradient", lambda self, x: blocks.append(len(x)) or gradient(x)
+    )
+    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 250 * 300 * 2)
     got = interaction_gradient_mean(fn, pts, pop)
+    assert blocks == [250 * 300, 250 * 300, 200 * 300]
     diff = pts[:, None, :] - pop[None, :, :]
-    grads = fn.gradient(diff.reshape(-1, 2)).reshape(1500, 2000, 2)
+    grads = gradient(diff.reshape(-1, 2)).reshape(700, 300, 2)
     np.testing.assert_allclose(got, grads.mean(axis=1), rtol=1e-12)
 
 

@@ -15,6 +15,7 @@ import logging
 import numpy as np
 import pytest
 
+from jkoflow import linear_solver
 from jkoflow.density import GaussianMixture
 from jkoflow.features import FeatureMap, eval_features, jacobian_features, polynomial_map
 from jkoflow.linear_solver import (
@@ -26,7 +27,7 @@ from jkoflow.linear_solver import (
     fit_linear,
     solve,
 )
-from jkoflow.measures import Coupling, PopulationTrajectory, uniform_snapshot
+from jkoflow.measures import Coupling, EmpiricalSnapshot, PopulationTrajectory, uniform_snapshot
 
 
 def _identity_coupling(t: int, n: int) -> Coupling:
@@ -84,6 +85,30 @@ def test_build_row_blocks_stack_in_order():
     assert rows.shape == (3, pot.n_features + inter.n_features + 1, 2)
     only_pot = build_row(LinearEnergyModel(potential_map=pot), x, None, None)
     np.testing.assert_array_equal(rows[:, : pot.n_features], only_pot)
+
+
+def test_interaction_rows_do_not_depend_on_pair_blocks(monkeypatch):
+    # a budget of 8 rows per block against 30 points, at n_features * d
+    # entries per pair: 20 rows span three blocks
+    inter = FeatureMap(dim=2, poly_degree=2, poly_cross=True, rbf_centers=np.array([[0.0, 1.0]]))
+    rng = np.random.default_rng(4)
+    model = LinearEnergyModel(interaction_map=inter, theta=rng.normal(size=inter.n_features))
+    x = rng.normal(size=(20, 2))
+    w = rng.uniform(0.5, 1.0, size=30)
+    snap = EmpiricalSnapshot(rng.normal(size=(30, 2)), w / w.sum(), 1)
+    want_rows = build_row(model, x, snap, None)
+    want_mean = model.grad_interaction_mean(x, snap.points, snap.weights)
+    blocks = []
+    monkeypatch.setattr(
+        linear_solver, "jacobian_features",
+        lambda fm, x: blocks.append(len(x)) or jacobian_features(fm, x),
+    )
+    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 8 * 30 * inter.n_features * 2)
+    rows = build_row(model, x, snap, None)
+    mean = model.grad_interaction_mean(x, snap.points, snap.weights)
+    assert blocks == [8 * 30, 8 * 30, 4 * 30] * 2
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(mean, want_mean)
 
 
 def test_build_row_missing_inputs_raise():

@@ -15,9 +15,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from jkoflow import nn
 from jkoflow.density import GaussianMixture, score
+from jkoflow.measures import pair_chunks
 from jkoflow.nn import (
-    PAIR_CHUNK,
     AdamState,
     Mlp,
     MlpEnergyModel,
@@ -184,9 +185,9 @@ def test_input_gradient_batch_matches_single():
 
 
 def test_input_gradient_peak_memory():
-    # the pass keeps A and S of each hidden layer plus the backward products;
-    # a fused activation with full-size temporaries beside its outputs would
-    # lift the peak past this
+    # the pass keeps S of each hidden layer plus the backward products; kept
+    # activations, or a fused activation with full-size temporaries beside its
+    # outputs, would lift the peak past this
     rng = _rng(31)
     mlp = init_mlp([2, 64, 64, 1], rng)
     x = rng.normal(size=(22_500, 2))
@@ -197,7 +198,7 @@ def test_input_gradient_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * 22_500 * 64 * 8
+    assert peak <= 5.5 * 22_500 * 64 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +310,23 @@ def test_grad_interaction_mean_matches_direct_loop():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def test_grad_interaction_mean_chunked_matches_unchunked():
-    # 2000 population points force a 250-row chunk over 600 queries
+def test_grad_interaction_mean_chunked_matches_unchunked(monkeypatch):
+    # a budget of 25 rows per block against 200 points, at the net's width
+    # of 4: 60 queries span three blocks
     model = build_model(dim=2, seed=4, with_interaction=True, hidden=(4,))
     rng = _rng(13)
-    x = rng.normal(size=(600, 2))
-    pop = rng.normal(size=(2000, 2))
-    w = np.full(2000, 1 / 2000)
+    x = rng.normal(size=(60, 2))
+    pop = rng.normal(size=(200, 2))
+    w = np.full(200, 1 / 200)
+    blocks = []
+    monkeypatch.setattr(
+        nn, "input_gradient", lambda mlp, x: blocks.append(len(x)) or input_gradient(mlp, x)
+    )
+    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 25 * 200 * 4)
     got = model.grad_interaction_mean(x, pop, w)
+    assert blocks == [25 * 200, 25 * 200, 10 * 200]
     diff = (x[:, None, :] - pop[None, :, :]).reshape(-1, 2)
-    g = input_gradient(model.interaction_net, diff).reshape(600, 2000, 2)
+    g = input_gradient(model.interaction_net, diff).reshape(60, 200, 2)
     np.testing.assert_allclose(got, g.mean(axis=1), rtol=1e-10)
 
 
@@ -518,11 +526,8 @@ def _two_pass_loss(model, x0, x1, masses, tau, pop=None, pw=None, gmm=None, time
     if pop is not None:
         dw_int = [np.zeros_like(w) for w in model.interaction_net.weights]
         db_int = [np.zeros_like(b) for b in model.interaction_net.biases]
-        chunk = max(1, PAIR_CHUNK // pop.shape[0])
-        for start in range(0, x1.shape[0], chunk):
-            block = x1[start : start + chunk]
-            diff = (block[:, None, :] - pop[None, :, :]).reshape(-1, d)
-            pair_cot = (cot[start : start + chunk, None, :] * pw[None, :, None]).reshape(-1, d)
+        for rows, diff in pair_chunks(x1, pop, model.interaction_net.width):
+            pair_cot = (cot[rows, None, :] * pw[None, :, None]).reshape(-1, d)
             _, dws, dbs = gradient_and_adjoint(model.interaction_net, diff, pair_cot)
             for acc, delta in zip(dw_int + db_int, dws + dbs):
                 acc += delta
@@ -533,22 +538,27 @@ def _two_pass_loss(model, x0, x1, masses, tau, pop=None, pw=None, gmm=None, time
 
 
 @pytest.mark.parametrize("case", ["potential", "time", "interaction_beta_chunked", "subsample"])
-def test_loss_matches_two_pass_reference_bit_for_bit(case):
+def test_loss_matches_two_pass_reference_bit_for_bit(case, monkeypatch):
     rng = _rng(32)
     n, tau = 40, 0.1
     kwargs, ref = {}, {}
+    tapes = []
     if case == "potential":
         model = build_model(dim=2, seed=22)
     elif case == "time":
         model = build_model(dim=1, seed=23, time_conditioned=True, hidden=(6, 5))
         kwargs = ref = {"time_input": 0.7}
     elif case == "interaction_beta_chunked":
-        # 2000 population points give 250-row chunks: three over 600 rows
+        # a budget of 20 rows per block against 200 points, at the net's width
+        # of 3: three blocks over 60 rows
         model = build_model(dim=2, seed=24, with_interaction=True, with_internal=True, hidden=(3, 3))
-        n = 600
-        pop = rng.normal(size=(2000, 2))
-        pw = rng.uniform(0.5, 1.0, size=2000)
+        n = 60
+        pop = rng.normal(size=(200, 2))
+        pw = rng.uniform(0.5, 1.0, size=200)
         pw /= pw.sum()
+        monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 20 * 200 * 3)
+        tape = nn._tape
+        monkeypatch.setattr(nn, "_tape", lambda mlp, xb: tapes.append(len(xb)) or tape(mlp, xb))
         gmm = _unit_gmm(2)
         kwargs = {"snapshot_next": (pop, pw), "gmm_next": gmm}
         ref = {"pop": pop, "pw": pw, "gmm": gmm}
@@ -568,6 +578,9 @@ def test_loss_matches_two_pass_reference_bit_for_bit(case):
     x1 = rng.normal(size=(n, model.dim))
     masses = rng.uniform(0.1, 1.0, size=n)
     loss, grads = loss_and_param_gradient(model, x0, x1, masses, tau, **kwargs)
+    if case == "interaction_beta_chunked":
+        # the potential net's tape over the batch, then one per pair block
+        assert tapes == [60, 20 * 200, 20 * 200, 20 * 200]
     want_loss, want_grads = _two_pass_loss(model, x0, x1, masses, tau, **ref)
     assert loss == want_loss
     assert len(grads) == len(want_grads) == len(model.parameters())

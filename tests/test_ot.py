@@ -294,6 +294,23 @@ def test_sinkhorn_epsilon_validation(rng):
         solve_sinkhorn(snap, snap, epsilon=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # no iteration leaves no marginal error to report
+        ({"max_iters": 0}, "max_iters must be >= 1"),
+        # a tolerance no iterate can meet would only run to the cap
+        ({"tolerance": 0.0}, "tolerance must be positive"),
+        ({"tolerance": -1e-6}, "tolerance must be positive"),
+    ],
+    ids=["max_iters_zero", "tolerance_zero", "tolerance_negative"],
+)
+def test_sinkhorn_iteration_argument_validation(rng, kwargs, message):
+    snap = uniform_snapshot(rng.normal(size=(2, 1)), 0)
+    with pytest.raises(ValueError, match=message):
+        solve_sinkhorn(snap, snap, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
