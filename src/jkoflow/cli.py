@@ -10,6 +10,7 @@ command's output directory so runs can be reproduced from their artifacts.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -238,8 +239,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, help="required: experiments are randomized")
     p.add_argument("--full", action=argparse.BooleanOptionalAction, help="large-scale grids")
     p.add_argument("--epochs", type=int, help="override the study's default epoch budget")
-    p.add_argument("--potential", choices=KINDS, help="scaling/general: potential override")
-    p.add_argument("--interaction", choices=KINDS, help="general: interaction override")
+    p.add_argument("--potential", choices=KINDS, help="override the study's potential")
+    p.add_argument("--interaction", choices=KINDS, help="override the study's interaction")
     p.add_argument("--jobs", type=int)
     p.add_argument("--out", help="output directory for tables and reports")
 
@@ -469,19 +470,22 @@ def _cmd_predict(cfg: dict) -> int:
 
 def _cmd_experiment(cfg: dict) -> int:
     _require(cfg, "name", "seed", "out")
-    runner = experiments.RUNNERS[cfg["name"]]
+    runner = experiments.RUNNERS.get(cfg["name"])
+    if runner is None:
+        raise _UsageError(f"unknown study {cfg['name']!r}")
     kwargs = {
         "seed": int(cfg["seed"]),
         "out_dir": cfg["out"],
         "full": bool(cfg["full"]),
         "jobs": int(cfg.get("jobs") or _default_jobs()),
     }
-    if cfg.get("epochs") is not None and cfg["name"] != "observability":
-        kwargs["epochs"] = int(cfg["epochs"])
-    if cfg.get("potential") and cfg["name"] in ("scaling", "general"):
-        kwargs["potential"] = cfg["potential"]
-    if cfg.get("interaction") and cfg["name"] == "general":
-        kwargs["interaction"] = cfg["interaction"]
+    # a study takes an override exactly when its runner has a parameter of that name
+    takes = inspect.signature(runner).parameters
+    for key, convert in (("epochs", int), ("potential", str), ("interaction", str)):
+        if cfg.get(key) is not None:
+            if key not in takes:
+                raise _UsageError(f"study {cfg['name']} does not take --{key}")
+            kwargs[key] = convert(cfg[key])
     runner(**kwargs)
     _echo_config(cfg, "experiment", Path(cfg["out"]))
     return EXIT_OK

@@ -108,19 +108,20 @@ def score(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _floor_covariance(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip eigenvalues at the variance floor.
+def _floor_covariance(covs: np.ndarray) -> np.ndarray:
+    """Symmetrize a (k, d, d) stack; clip each matrix's eigenvalues at the floor.
 
     Clipping the sample covariance's eigenvalues is the exact maximiser of the
     Gaussian likelihood under that floor, so EM stays monotone.
     """
-    cov = 0.5 * (cov + cov.T)
-    vals, vecs = np.linalg.eigh(cov)
-    if vals.min() < VARIANCE_FLOOR:
-        vals = np.maximum(vals, VARIANCE_FLOOR)
-        cov = (vecs * vals) @ vecs.T
-        cov = 0.5 * (cov + cov.T)
-    return cov
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    vals, vecs = np.linalg.eigh(covs)
+    low = vals.min(axis=1) < VARIANCE_FLOOR
+    if low.any():
+        vecs, vals = vecs[low], np.maximum(vals[low], VARIANCE_FLOOR)
+        floored = (vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+        covs[low] = 0.5 * (floored + floored.transpose(0, 2, 1))
+    return covs
 
 
 def _kmeans_pp_means(
@@ -146,7 +147,15 @@ def _kmeans_pp_means(
 def _global_covariance(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     mean = weights @ points
     centered = points - mean
-    return _floor_covariance((weights[:, None] * centered).T @ centered)
+    return _floor_covariance(((weights[:, None] * centered).T @ centered)[None])[0]
+
+
+def _m_step(points: np.ndarray, wr: np.ndarray, nj: np.ndarray) -> GaussianMixture:
+    """EM's M-step from the (N, k) weighted responsibilities wr, nj = wr.sum(0)."""
+    means = (wr.T @ points) / nj[:, None]
+    centered = points[None, :, :] - means[:, None, :]
+    covs = (wr.T[:, :, None] * centered).transpose(0, 2, 1) @ centered / nj[:, None, None]
+    return GaussianMixture(nj / nj.sum(), means, _floor_covariance(covs))
 
 
 def fit_gmm(
@@ -222,13 +231,7 @@ def fit_gmm(
             prev_ll = -np.inf  # restart the monotonicity baseline after surgery
             continue
 
-        new_means = (wr.T @ points) / nj[:, None]
-        new_covs = np.empty_like(gmm.covariances)
-        for j in range(k):
-            centered = points - new_means[j]
-            cov = (wr[:, j][:, None] * centered).T @ centered / nj[j]
-            new_covs[j] = _floor_covariance(cov)
-        gmm = GaussianMixture(nj / nj.sum(), new_means, new_covs)
+        gmm = _m_step(points, wr, nj)
 
         if improved < tol and np.isfinite(improved):
             break

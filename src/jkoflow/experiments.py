@@ -11,7 +11,7 @@ Five studies ship with the package:
 Each run is deterministic given its seed, records per-cell failures without
 aborting the sweep, and writes a CSV table plus a JSON report (config echo,
 rows, timings) into the output directory.  Desk-scale defaults keep runs in
-the minutes range; ``full=True`` switches to the large grids.
+the minutes range; ``full=True`` picks the large grids, explicit sizes win.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ot
 from .datagen import (
     GenConfig,
     TIME_VARYING_STEPS,
@@ -215,8 +214,8 @@ def run_general(
     interaction: str = "sphere",
     betas=(0.0, 0.1, 0.2),
     seed: int = 0,
-    epochs: int = 200,
-    n_particles: int = 500,
+    epochs: int | None = None,
+    n_particles: int | None = None,
     out_dir=None,
     full: bool = False,
     jobs: int = 1,
@@ -229,8 +228,8 @@ def run_general(
     """
     if interaction == "holder_table":
         raise ValueError("holder_table is not supported as an interaction")
-    if full:
-        epochs, n_particles = 1000, 2000
+    epochs = (1000 if full else 200) if epochs is None else epochs
+    n_particles = (2000 if full else 500) if n_particles is None else n_particles
 
     def worker(beta: float):
         spec = EnergySpec(
@@ -316,16 +315,16 @@ def _max_deviation(predicted: PopulationTrajectory, truth: PopulationTrajectory)
 
 def run_time_varying(
     seed: int = 0,
-    epochs: int = 3000,
-    n_particles: int = 200,
+    epochs: int | None = None,
+    n_particles: int | None = None,
     out_dir=None,
     full: bool = False,
     jobs: int = 1,
 ) -> list[dict]:
     """Train a time-conditioned potential on the gated 1-D dataset and roll
     it out with both prediction schemes, against the exact trajectories."""
-    if full:
-        epochs, n_particles = 6000, 1000
+    epochs = (6000 if full else 3000) if epochs is None else epochs
+    n_particles = (1000 if full else 200) if n_particles is None else n_particles
     train, truth = generate_time_varying_1d(n_particles=n_particles, seed=seed)
     steps = truth.n_steps
 
@@ -419,7 +418,7 @@ def _observability_fit(traj: PopulationTrajectory, seed: int):
 
 def run_observability(
     seed: int = 0,
-    n_particles: int = 1000,
+    n_particles: int | None = None,
     out_dir=None,
     full: bool = False,
     jobs: int = 1,
@@ -430,8 +429,7 @@ def run_observability(
     EMDs come out almost the same.  A third snapshot separates the variances
     (1 + 2*beta*t vs e^(2*alpha*t)) and the fitted diffusion weights diverge.
     """
-    if full:
-        n_particles = 5000
+    n_particles = (5000 if full else 1000) if n_particles is None else n_particles
     report: dict = {"experiment": "observability", "seed": seed, "n_particles": n_particles}
     rows = []
     fits: dict[tuple[str, int], FitResult] = {}

@@ -337,14 +337,6 @@ class GroundTruthFunction:
         return out[0] if single else out
 
 
-def value(fn: GroundTruthFunction, x: np.ndarray) -> np.ndarray | float:
-    return fn.value(x)
-
-
-def gradient(fn: GroundTruthFunction, x: np.ndarray) -> np.ndarray:
-    return fn.gradient(x)
-
-
 @dataclass(frozen=True)
 class EnergySpec:
     """Which energy terms drive a population: drift potential, pairwise

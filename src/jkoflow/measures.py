@@ -142,12 +142,6 @@ class Coupling:
         if self.target_time <= self.source_time:
             raise ValueError("target_time must exceed source_time")
 
-    @property
-    def pairs(self) -> list[tuple[int, int, float]]:
-        return list(
-            zip(self.source_indices.tolist(), self.target_indices.tolist(), self.masses.tolist())
-        )
-
     def source_marginal(self, n_source: int) -> np.ndarray:
         return np.bincount(self.source_indices, weights=self.masses, minlength=n_source)
 
@@ -310,9 +304,6 @@ def load_trajectory(directory: Path | str) -> PopulationTrajectory:
 
 def save_coupling(coupling: Coupling, directory: Path | str) -> None:
     path = coupling_path(directory, coupling.source_time, coupling.target_time)
-    rows = np.column_stack(
-        [coupling.source_indices, coupling.target_indices, coupling.masses]
-    )
     with open(path, "w", newline="") as fh:
         fh.write("i,j,mass\n")
         for i, j, m in zip(coupling.source_indices, coupling.target_indices, coupling.masses):

@@ -192,7 +192,7 @@ def _transport_simplex(
             ei, ej = int(candidates[0, 0]), int(candidates[0, 1])
 
         # cycle: entering arc plus the unique tree path between its endpoints
-        path = _tree_path(adj, ei, n + ej, n + m)
+        path = _tree_path(adj, ei, n + ej)
         # path edges alternate -,+,-,... starting and ending with - (odd length)
         minus_edges = []
         plus_edges = []
@@ -220,7 +220,7 @@ def _transport_simplex(
     return alloc
 
 
-def _tree_path(adj: list[set[int]], start: int, goal: int, n_nodes: int) -> list[int]:
+def _tree_path(adj: list[set[int]], start: int, goal: int) -> list[int]:
     parent = {start: start}
     stack = [start]
     while stack:

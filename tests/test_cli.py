@@ -1,14 +1,16 @@
 """End-to-end tests of the jko-flow command line.
 
-Commands run in-process through main(argv) for speed; two smoke tests go
-through the console script in a subprocess to cover the entry-point wiring.
-They run the installed `jko-flow` when it is on PATH. Otherwise they run the
+Commands run in-process through main(argv) for speed. Three smoke tests run
+in a subprocess: one through `python -m jkoflow.cli`, and two through the
+console script to cover the entry-point wiring. The latter run the installed
+`jko-flow` when it is on PATH. Otherwise they run the
 `[project.scripts]` target declared in pyproject.toml the way the generated
 console script does, `sys.exit(<target>())`, so an uninstalled checkout still
 checks that the target resolves, parses the process's own arguments and turns
 its return value into the exit status.
 """
 
+import functools
 import json
 import os
 import shutil
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 import jkoflow
+from jkoflow import experiments
 from jkoflow.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from jkoflow.measures import load_coupling, load_trajectory
 
@@ -432,6 +435,59 @@ def test_experiment_subcommand_runs_and_writes_tables(tmp_path):
     assert echoed["seed"] == 0
 
 
+@pytest.fixture
+def stub_runners(monkeypatch):
+    """Replace every study with a recorder that keeps the runner's signature."""
+    calls = []
+
+    def stub(runner):
+        @functools.wraps(runner)
+        def record(**kwargs):
+            calls.append(kwargs)
+
+        return record
+
+    stubs = {name: stub(runner) for name, runner in experiments.RUNNERS.items()}
+    monkeypatch.setattr(experiments, "RUNNERS", stubs)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["observability", "--epochs", "5"], None, "--epochs"),
+        (["lightspeed", "--potential", "sphere"], None, "--potential"),
+        (["scaling", "--interaction", "sphere"], None, "--interaction"),
+        (["observability"], {"epochs": 5}, "--epochs"),
+        ([], {"name": "bogus"}, "bogus"),
+    ],
+    ids=["observability-epochs", "lightspeed-potential", "scaling-interaction",
+         "observability-epochs-config", "unknown-study-config"],
+)
+def test_experiment_rejects_flags_the_study_does_not_take(
+    stub_runners, tmp_path, capsys, argv, config, named
+):
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg_path)]
+    code = run("experiment", *argv, "--seed", "0", "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert named in capsys.readouterr().err
+    assert stub_runners == []
+
+
+def test_experiment_passes_the_flags_a_study_takes(stub_runners, tmp_path):
+    out = str(tmp_path / "o")
+    code = run("experiment", "general", "--interaction", "sphere", "--epochs", "3",
+               "--seed", "0", "--jobs", "1", "--out", out)
+    assert code == EXIT_OK
+    assert stub_runners == [
+        {"seed": 0, "out_dir": out, "full": False, "jobs": 1, "epochs": 3,
+         "interaction": "sphere"}
+    ]
+
+
 def test_jobs_env_fallback(flat_dataset, monkeypatch):
     monkeypatch.setenv("JKO_FLOW_JOBS", "2")
     assert run("couple", "--data", str(flat_dataset)) == EXIT_OK
@@ -489,3 +545,17 @@ def test_console_script_without_subcommand_exits_one():
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert "subcommand" in proc.stderr
+
+
+def test_module_entry_point_runs_without_install():
+    # the README's no-install command; only PYTHONPATH locates the package
+    src = str(Path(jkoflow.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "jkoflow.cli", "experiment", "--help"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("lightspeed", "scaling", "general", "time-varying", "observability"):
+        assert name in proc.stdout

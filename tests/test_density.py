@@ -139,6 +139,46 @@ def test_degenerate_data_stays_positive_definite(rng):
         assert np.linalg.eigvalsh(cov).min() >= 1e-6 * 0.99
 
 
+def floor_one_covariance(cov):
+    """Per-matrix reference for the stacked eigenvalue floor."""
+    cov = 0.5 * (cov + cov.T)
+    vals, vecs = np.linalg.eigh(cov)
+    if vals.min() < VARIANCE_FLOOR:
+        cov = (vecs * np.maximum(vals, VARIANCE_FLOOR)) @ vecs.T
+        cov = 0.5 * (cov + cov.T)
+    return cov
+
+
+@pytest.mark.parametrize(
+    "n, d, k, degenerate",
+    [(150, 2, 10, False), (1000, 2, 10, False), (500, 5, 7, False), (40, 1, 3, False),
+     (150, 2, 10, True)],
+)
+def test_m_step_matches_per_component_reference(rng, n, d, k, degenerate):
+    points = rng.normal(size=(n, d))
+    weights = rng.uniform(0.5, 1.5, size=n)
+    weights /= weights.sum()
+    resp = rng.dirichlet(np.ones(k), size=n)
+    if degenerate:
+        # components 0 and 1 see only two points: rank-1 covariances, floored
+        resp[:, :2] = 0.0
+        resp[:2, :2] = 1.0
+        resp[:2, 2:] = 0.0
+    wr = weights[:, None] * resp
+    nj = wr.sum(axis=0)
+    gmm = density_mod._m_step(points, wr, nj)
+    means = (wr.T @ points) / nj[:, None]
+    covs = np.empty((k, d, d))
+    for j in range(k):
+        centered = points - means[j]
+        covs[j] = floor_one_covariance((wr[:, j][:, None] * centered).T @ centered / nj[j])
+    if degenerate:
+        assert np.linalg.eigvalsh(covs[:2]).min() == pytest.approx(VARIANCE_FLOOR)
+    np.testing.assert_array_equal(gmm.weights, nj / nj.sum())
+    np.testing.assert_array_equal(gmm.means, means)
+    np.testing.assert_array_equal(gmm.covariances, covs)
+
+
 def test_collapsed_component_is_reseeded(rng, monkeypatch):
     # doom one seed far from all data: its responsibilities underflow to zero
     points = rng.normal(size=(100, 1))

@@ -18,6 +18,7 @@ from jkoflow import experiments as ex
 from jkoflow.datagen import GenConfig, generate
 from jkoflow.functionals import EnergySpec, GroundTruthFunction
 from jkoflow.measures import PopulationTrajectory, uniform_snapshot
+from jkoflow.trainer import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,39 @@ def test_runner_registry_names():
         "observability",
     }
     assert all(callable(fn) for fn in ex.RUNNERS.values())
+
+
+class _StopAtFit(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "runner, kwargs, expected",
+    [
+        # explicit sizes win over the full-scale defaults
+        (ex.run_general, dict(betas=(0.1,), epochs=5, n_particles=40), (5, 20)),
+        (ex.run_time_varying, dict(epochs=5, n_particles=30), (5, 15)),
+        (ex.run_observability, dict(n_particles=50), (TrainConfig.epochs, 50)),
+        # without them, full picks the large sizes
+        (ex.run_time_varying, {}, (6000, 500)),
+        (ex.run_observability, {}, (TrainConfig.epochs, 5000)),
+    ],
+    ids=["general", "time-varying", "observability", "time-varying-default",
+         "observability-default"],
+)
+def test_full_only_picks_default_sizes(monkeypatch, runner, kwargs, expected):
+    seen = []
+
+    def record(train, config):
+        seen.append((config.epochs, train.snapshots[0].n_particles))
+        raise _StopAtFit
+
+    monkeypatch.setattr(ex, "fit", record)
+    try:
+        runner(seed=0, full=True, **kwargs)
+    except _StopAtFit:
+        pass
+    assert seen[0] == expected
 
 
 def test_desk_grids_are_documented_defaults():
