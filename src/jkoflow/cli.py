@@ -477,15 +477,16 @@ def _cmd_experiment(cfg: dict) -> int:
         "seed": int(cfg["seed"]),
         "out_dir": cfg["out"],
         "full": bool(cfg["full"]),
-        "jobs": int(cfg.get("jobs") or _default_jobs()),
     }
     # a study takes an override exactly when its runner has a parameter of that name
     takes = inspect.signature(runner).parameters
-    for key, convert in (("epochs", int), ("potential", str), ("interaction", str)):
+    for key, convert in (("epochs", int), ("potential", str), ("interaction", str), ("jobs", int)):
         if cfg.get(key) is not None:
             if key not in takes:
                 raise _UsageError(f"study {cfg['name']} does not take --{key}")
             kwargs[key] = convert(cfg[key])
+    if "jobs" in takes:
+        kwargs["jobs"] = kwargs.get("jobs") or _default_jobs()
     runner(**kwargs)
     _echo_config(cfg, "experiment", Path(cfg["out"]))
     return EXIT_OK

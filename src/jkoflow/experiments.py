@@ -37,7 +37,6 @@ from .functionals import KINDS, EnergySpec, GroundTruthFunction
 from .features import polynomial_map
 from .measures import PopulationTrajectory, uniform_snapshot
 from .trainer import (
-    FitResult,
     TrainConfig,
     evaluate,
     fit,
@@ -319,7 +318,6 @@ def run_time_varying(
     n_particles: int | None = None,
     out_dir=None,
     full: bool = False,
-    jobs: int = 1,
 ) -> list[dict]:
     """Train a time-conditioned potential on the gated 1-D dataset and roll
     it out with both prediction schemes, against the exact trajectories."""
@@ -421,7 +419,6 @@ def run_observability(
     n_particles: int | None = None,
     out_dir=None,
     full: bool = False,
-    jobs: int = 1,
 ) -> dict:
     """Two (alpha, beta) pairs with identical second-snapshot variance.
 
@@ -432,7 +429,6 @@ def run_observability(
     n_particles = (5000 if full else 1000) if n_particles is None else n_particles
     report: dict = {"experiment": "observability", "seed": seed, "n_particles": n_particles}
     rows = []
-    fits: dict[tuple[str, int], FitResult] = {}
     for name, pair in OBSERVABILITY_PAIRS.items():
         for n_snapshots in (2, 3):
             train_rng = np.random.default_rng(
@@ -448,7 +444,6 @@ def run_observability(
                 pair["alpha"], pair["beta"], n_particles, n_snapshots, test_rng
             )
             result = _observability_fit(train, seed)
-            fits[(name, n_snapshots)] = result
             theta_pot, theta_int, theta_beta = result.model.theta_blocks()
             emd_report = evaluate(result.model, test)
             rows.append(

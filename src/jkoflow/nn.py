@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .density import GaussianMixture, score
+from .density import score  # noqa: F401 - unused; perfbench's tracer looks up nn.score
 from .measures import pair_chunks, pairwise_mean
 
 HIDDEN_WIDTHS = (64, 64)
@@ -246,12 +246,12 @@ class MlpEnergyModel:
             return 0.0
         return float(softplus(self.beta_raw))
 
-    def _with_time(self, x: np.ndarray, time_value: float | None) -> np.ndarray:
+    def _with_time(self, x: np.ndarray, time_value: float | np.ndarray | None) -> np.ndarray:
         if not self.time_conditioned:
             return x
         if time_value is None:
             raise ValueError("time-conditioned model needs a time value")
-        return np.hstack([x, np.full((x.shape[0], 1), time_value)])
+        return np.hstack([x, np.broadcast_to(np.reshape(time_value, (-1, 1)), (len(x), 1))])
 
     def grad_potential(self, x: np.ndarray, time_value: float | None = None) -> np.ndarray:
         g = input_gradient(self.potential_net, self._with_time(np.atleast_2d(x), time_value))
@@ -340,29 +340,32 @@ def loss_and_param_gradient(
     x_end: np.ndarray,
     masses: np.ndarray,
     tau: float,
-    snapshot_next: tuple[np.ndarray, np.ndarray] | None = None,
-    gmm_next: GaussianMixture | None = None,
-    time_input: float | None = None,
+    scores: np.ndarray | None = None,
+    times: np.ndarray | None = None,
+    populations: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    steps: np.ndarray | None = None,
     interaction_subsample: int = 0,
     subsample_rng: np.random.Generator | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Mass-weighted squared residual over coupled pairs, with exact parameter
     gradients.
 
-    The residual per pair is
+    The residual of pair b, which ends on step ``steps[b]`` (default 0), is
         grad_V(x_end [, t]) + mean_y grad_U(x_end - y) + beta * score(x_end)
         + (x_end - x_start) / tau
-    where the mean runs over ``snapshot_next`` and the score comes from
-    ``gmm_next``.  The score is a fixed function of the data here: only the
-    beta factor in front of it is learnable.  Returns (loss, grads) with
-    grads aligned to ``model.parameters()``.
+    where the mean runs over ``populations[steps[b]]`` (points, weights), and
+    ``scores[b]`` and ``times[b]`` are the pair's density score and time
+    input: fixed data, so only the beta factor in front of the score is
+    learnable.  Returns (loss, grads) with grads aligned to
+    ``model.parameters()``.
 
-    ``interaction_subsample`` > 0 replaces the full interaction mean by a
-    weighted subsample of that size, drawn from ``subsample_rng``.
+    ``interaction_subsample`` > 0 replaces each step's interaction mean by a
+    weighted subsample of that size, drawn from ``subsample_rng`` once per
+    step in ascending step order.
 
     Each net runs once per call: one ``_tape`` serves both the residual and
-    the parameter gradients.  The interaction net gets one tape per pair
-    block of ``measures.pair_chunks``, whose budget bounds each of that
+    the parameter gradients.  The interaction net gets one tape per step and
+    pair block of ``measures.pair_chunks``, whose budget bounds each of that
     tape's arrays.
     """
     x_start = np.atleast_2d(np.asarray(x_start, dtype=np.float64))
@@ -370,44 +373,36 @@ def loss_and_param_gradient(
     masses = np.asarray(masses, dtype=np.float64)
     d = model.dim
 
-    inputs_v = model._with_time(x_end, time_input)
+    inputs_v = model._with_time(x_end, times)
     grad_v, pullback_v = _tape(model.potential_net, inputs_v)
     residual = grad_v[:, :d] + (x_end - x_start) / tau
 
     net_int = model.interaction_net
-    blocks = [(slice(None), None)]  # without pairs, all rows are one block
+    blocks = [(slice(None), None, None)]  # without pairs, all rows are one block
     if net_int is not None:
-        if snapshot_next is None:
-            raise ValueError("interaction term needs the next snapshot")
-        pop_points, pop_weights = snapshot_next
-        if interaction_subsample and pop_points.shape[0] > interaction_subsample:
-            if subsample_rng is None:
-                raise ValueError("interaction_subsample needs an rng")
-            idx = subsample_rng.choice(
-                pop_points.shape[0], size=interaction_subsample, replace=False, p=pop_weights
-            )
-            pop_points = pop_points[idx]
-            pop_weights = np.full(interaction_subsample, 1.0 / interaction_subsample)
-        blocks = pair_chunks(x_end, pop_points, net_int.width)
+        if populations is None:
+            raise ValueError("interaction term needs the next snapshots")
+        steps = np.zeros(x_end.shape[0], dtype=np.int64) if steps is None else steps
+        blocks = _pair_blocks(
+            x_end, steps, populations, net_int.width, interaction_subsample, subsample_rng
+        )
         grads_int = [np.zeros_like(p) for p in (*net_int.weights, *net_int.biases)]
 
-    score_vals = None
     if model.beta_raw is not None:
-        if gmm_next is None:
-            raise ValueError("internal-energy term needs a density estimate")
-        score_vals = score(gmm_next, x_end)
+        if scores is None:
+            raise ValueError("internal-energy term needs the score of a density estimate")
         beta = model.beta
 
     # Residual rows are finished and pulled back one pair block at a time, so
     # only one block's interaction tape is alive at once.
     cot = np.empty_like(residual)
-    for rows, diff in blocks:
+    for rows, diff, pop_weights in blocks:
         if net_int is not None:
             g, pullback_int = _tape(net_int, diff)
-            g = g.reshape(-1, pop_points.shape[0], d)
+            g = g.reshape(-1, pop_weights.shape[0], d)
             residual[rows] += np.einsum("bnd,n->bd", g, pop_weights)
-        if score_vals is not None:
-            residual[rows] += beta * score_vals[rows]
+        if model.beta_raw is not None:
+            residual[rows] += beta * scores[rows]
         cot[rows] = 2.0 * masses[rows, None] * residual[rows]
         if net_int is not None:
             # pair (i, j) contributes weight w_j inside the mean, so its
@@ -429,9 +424,24 @@ def loss_and_param_gradient(
     if net_int is not None:
         grads += grads_int
     if model.beta_raw is not None:
-        d_beta = float((cot * score_vals).sum()) * float(sigmoid(model.beta_raw))
+        d_beta = float((cot * scores).sum()) * float(sigmoid(model.beta_raw))
         grads.append(np.asarray(d_beta))
     return loss, grads
+
+
+def _pair_blocks(x_end, steps, populations, width, subsample, rng):
+    """(rows, pair differences, population weights) per block, steps ascending."""
+    for t in np.unique(steps):
+        group = np.flatnonzero(steps == t)
+        points, weights = populations[t]
+        if subsample and points.shape[0] > subsample:
+            if rng is None:
+                raise ValueError("interaction_subsample needs an rng")
+            idx = rng.choice(points.shape[0], size=subsample, replace=False, p=weights)
+            points = points[idx]
+            weights = np.full(subsample, 1.0 / subsample)
+        for rows, diff in pair_chunks(x_end[group], points, width):
+            yield group[rows], diff, weights
 
 
 # ---------------------------------------------------------------------------

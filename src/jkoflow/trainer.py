@@ -9,7 +9,9 @@ Variants:
 
 Couplings between consecutive snapshots are computed once, before the first
 epoch, and reused throughout training; density estimates are fitted per
-snapshot only when the diffusion term is active.  Fitting is deterministic:
+snapshot only when the diffusion term is active.  The network variants score
+the coupled end points and set their time inputs once too, so each batch of
+pairs is one loss call, whatever steps it mixes.  Fitting is deterministic:
 the same data, config and seed give bit-identical parameters.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import ot
 from .datagen import _step_rng, implicit_step
-from .density import GaussianMixture, fit_gmm
+from .density import GaussianMixture, fit_gmm, score
 from .features import FeatureMap, build_default
 from .linear_solver import LinearEnergyModel, fit_linear
 from .measures import EmpiricalSnapshot, PopulationTrajectory
@@ -73,6 +75,10 @@ class TrainConfig:
             raise ValueError("gmm_k must be >= 1")
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be >= 0")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError("hidden widths must be >= 1")
+        if self.interaction_subsample < 0:
+            raise ValueError("interaction_subsample must be >= 0")
 
 
 @dataclass
@@ -143,18 +149,22 @@ def _fit_mlp(
     params = model.parameters()
     state = AdamState.for_params(params, lr=cfg.learning_rate)
 
-    starts, ends, masses, steps = [], [], [], []
+    starts, ends, masses, steps, scores = [], [], [], [], []
     for t, coupling in enumerate(couplings):
         starts.append(train.snapshots[t].points[coupling.source_indices])
         ends.append(train.snapshots[t + 1].points[coupling.target_indices])
         masses.append(coupling.masses)
         steps.append(np.full(coupling.masses.shape[0], t, dtype=np.int64))
+        if gmms is not None:
+            scores.append(score(gmms[t + 1], ends[-1]))
     x_start = np.concatenate(starts)
     x_end = np.concatenate(ends)
     mass = np.concatenate(masses)
     step_of_pair = np.concatenate(steps)
+    score_of_pair = np.concatenate(scores) if gmms is not None else None
+    time_of_pair = (step_of_pair + 1) / train.n_steps if model.time_conditioned else None
+    populations = [(snap.points, snap.weights) for snap in train.snapshots[1:]]
     n_pairs = mass.shape[0]
-    horizon = train.n_steps
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
     subsample_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(3,)))
@@ -164,33 +174,15 @@ def _fit_mlp(
         epoch_loss = 0.0
         for batch_index, lo in enumerate(range(0, n_pairs, cfg.batch_pairs)):
             idx = perm[lo : lo + cfg.batch_pairs]
-            batch_steps = step_of_pair[idx]
-            batch_loss = 0.0
-            batch_grads = None
-            # a batch may mix timesteps; the residual context (next snapshot,
-            # its density, the time input) is resolved per group
-            for t in np.unique(batch_steps):
-                sel = idx[batch_steps == t]
-                snap_next = train.snapshots[t + 1]
-                loss, grads = loss_and_param_gradient(
-                    model,
-                    x_start[sel],
-                    x_end[sel],
-                    mass[sel],
-                    train.tau,
-                    snapshot_next=(snap_next.points, snap_next.weights)
-                    if model.interaction_net is not None
-                    else None,
-                    gmm_next=gmms[t + 1] if gmms is not None else None,
-                    time_input=(t + 1) / horizon if model.time_conditioned else None,
-                    interaction_subsample=cfg.interaction_subsample,
-                    subsample_rng=subsample_rng,
-                )
-                batch_loss += loss
-                if batch_grads is None:
-                    batch_grads = grads
-                else:
-                    batch_grads = [a + b for a, b in zip(batch_grads, grads)]
+            batch_loss, batch_grads = loss_and_param_gradient(
+                model, x_start[idx], x_end[idx], mass[idx], train.tau,
+                scores=None if score_of_pair is None else score_of_pair[idx],
+                times=None if time_of_pair is None else time_of_pair[idx],
+                populations=populations,
+                steps=step_of_pair[idx],
+                interaction_subsample=cfg.interaction_subsample,
+                subsample_rng=subsample_rng,
+            )
             if not np.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"

@@ -17,7 +17,7 @@ import pytest
 
 from jkoflow import ot
 from jkoflow.datagen import GenConfig, generate
-from jkoflow.density import fit_gmm
+from jkoflow.density import fit_gmm, score
 from jkoflow.experiments import run_observability, run_time_varying
 from jkoflow.features import polynomial_map
 from jkoflow.functionals import EnergySpec, GroundTruthFunction
@@ -154,7 +154,7 @@ def test_03_parameter_gradients_match_finite_differences():
     pop = rng.normal(size=(7, 2))
     pop_w = np.full(7, 1.0 / 7)
     gmm = fit_gmm(rng.normal(size=(30, 2)), k=2, seed=0)
-    args = dict(snapshot_next=(pop, pop_w), gmm_next=gmm)
+    args = dict(scores=score(gmm, x_end), populations=[(pop, pop_w)])
 
     def loss_now() -> float:
         return loss_and_param_gradient(model, x_start, x_end, masses, 0.1, **args)[0]

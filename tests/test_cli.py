@@ -460,9 +460,12 @@ def stub_runners(monkeypatch):
         (["scaling", "--interaction", "sphere"], None, "--interaction"),
         (["observability"], {"epochs": 5}, "--epochs"),
         ([], {"name": "bogus"}, "bogus"),
+        (["observability", "--jobs", "4"], None, "--jobs"),
+        (["time-varying"], {"jobs": 2}, "--jobs"),
     ],
     ids=["observability-epochs", "lightspeed-potential", "scaling-interaction",
-         "observability-epochs-config", "unknown-study-config"],
+         "observability-epochs-config", "unknown-study-config", "observability-jobs",
+         "time-varying-jobs-config"],
 )
 def test_experiment_rejects_flags_the_study_does_not_take(
     stub_runners, tmp_path, capsys, argv, config, named

@@ -395,7 +395,7 @@ def test_loss_value_matches_direct_assembly():
     gmm = _unit_gmm(2)
     tau = 0.1
     loss, grads = loss_and_param_gradient(
-        model, x0, x1, masses, tau, snapshot_next=(pop, pw), gmm_next=gmm
+        model, x0, x1, masses, tau, scores=score(gmm, x1), populations=[(pop, pw)]
     )
     residual = (
         model.grad_potential(x1)
@@ -419,7 +419,7 @@ def test_loss_param_gradients_match_fd_all_components():
     pop = rng.normal(size=(4, 2))
     pw = np.array([0.1, 0.2, 0.3, 0.4])
     gmm = _unit_gmm(2)
-    kwargs = dict(snapshot_next=(pop, pw), gmm_next=gmm)
+    kwargs = dict(scores=score(gmm, x1), populations=[(pop, pw)])
 
     _, grads = loss_and_param_gradient(model, x0, x1, masses, 0.1, **kwargs)
     h = 1e-5
@@ -442,7 +442,7 @@ def test_loss_param_gradients_match_fd_time_conditioned():
     rng = _rng(18)
     x0, x1 = rng.normal(size=(3, 1)), rng.normal(size=(3, 1))
     masses = np.full(3, 1 / 3)
-    _, grads = loss_and_param_gradient(model, x0, x1, masses, 0.1, time_input=0.7)
+    _, grads = loss_and_param_gradient(model, x0, x1, masses, 0.1, times=np.full(3, 0.7))
     h = 1e-5
     for p, g in zip(model.parameters(), grads):
         flat = p.reshape(-1)
@@ -450,9 +450,9 @@ def test_loss_param_gradients_match_fd_time_conditioned():
         for i in range(flat.size):
             old = flat[i]
             flat[i] = old + h
-            up, _ = loss_and_param_gradient(model, x0, x1, masses, 0.1, time_input=0.7)
+            up, _ = loss_and_param_gradient(model, x0, x1, masses, 0.1, times=np.full(3, 0.7))
             flat[i] = old - h
-            down, _ = loss_and_param_gradient(model, x0, x1, masses, 0.1, time_input=0.7)
+            down, _ = loss_and_param_gradient(model, x0, x1, masses, 0.1, times=np.full(3, 0.7))
             flat[i] = old
             assert gflat[i] == pytest.approx((up - down) / (2 * h), rel=1e-4, abs=1e-7)
 
@@ -489,19 +489,19 @@ def test_interaction_subsample_full_size_is_exact_and_smaller_needs_rng():
     masses = np.full(3, 1 / 3)
     pop = rng.normal(size=(5, 2))
     pw = np.full(5, 0.2)
-    full, _ = loss_and_param_gradient(model, x0, x1, masses, 0.1, snapshot_next=(pop, pw))
+    full, _ = loss_and_param_gradient(model, x0, x1, masses, 0.1, populations=[(pop, pw)])
     capped, _ = loss_and_param_gradient(
-        model, x0, x1, masses, 0.1, snapshot_next=(pop, pw),
+        model, x0, x1, masses, 0.1, populations=[(pop, pw)],
         interaction_subsample=5,
     )
     assert capped == full
     with pytest.raises(ValueError, match="rng"):
         loss_and_param_gradient(
-            model, x0, x1, masses, 0.1, snapshot_next=(pop, pw),
+            model, x0, x1, masses, 0.1, populations=[(pop, pw)],
             interaction_subsample=2,
         )
     sub, _ = loss_and_param_gradient(
-        model, x0, x1, masses, 0.1, snapshot_next=(pop, pw),
+        model, x0, x1, masses, 0.1, populations=[(pop, pw)],
         interaction_subsample=2, subsample_rng=np.random.default_rng(0),
     )
     assert np.isfinite(sub)
@@ -547,7 +547,8 @@ def test_loss_matches_two_pass_reference_bit_for_bit(case, monkeypatch):
         model = build_model(dim=2, seed=22)
     elif case == "time":
         model = build_model(dim=1, seed=23, time_conditioned=True, hidden=(6, 5))
-        kwargs = ref = {"time_input": 0.7}
+        kwargs = {"times": np.full(n, 0.7)}
+        ref = {"time_input": 0.7}
     elif case == "interaction_beta_chunked":
         # a budget of 20 rows per block against 200 points, at the net's width
         # of 3: three blocks over 60 rows
@@ -560,7 +561,7 @@ def test_loss_matches_two_pass_reference_bit_for_bit(case, monkeypatch):
         tape = nn._tape
         monkeypatch.setattr(nn, "_tape", lambda mlp, xb: tapes.append(len(xb)) or tape(mlp, xb))
         gmm = _unit_gmm(2)
-        kwargs = {"snapshot_next": (pop, pw), "gmm_next": gmm}
+        kwargs = {"populations": [(pop, pw)]}
         ref = {"pop": pop, "pw": pw, "gmm": gmm}
     else:
         model = build_model(dim=2, seed=25, with_interaction=True, with_internal=True, hidden=(5, 4))
@@ -569,7 +570,7 @@ def test_loss_matches_two_pass_reference_bit_for_bit(case, monkeypatch):
         pw /= pw.sum()
         gmm = _unit_gmm(2)
         kwargs = {
-            "snapshot_next": (pop, pw), "gmm_next": gmm,
+            "populations": [(pop, pw)],
             "interaction_subsample": 10, "subsample_rng": np.random.default_rng(3),
         }
         idx = np.random.default_rng(3).choice(30, size=10, replace=False, p=pw)
@@ -577,6 +578,8 @@ def test_loss_matches_two_pass_reference_bit_for_bit(case, monkeypatch):
     x0 = rng.normal(size=(n, model.dim))
     x1 = rng.normal(size=(n, model.dim))
     masses = rng.uniform(0.1, 1.0, size=n)
+    if "gmm" in ref:
+        kwargs["scores"] = score(ref["gmm"], x1)
     loss, grads = loss_and_param_gradient(model, x0, x1, masses, tau, **kwargs)
     if case == "interaction_beta_chunked":
         # the potential net's tape over the batch, then one per pair block
@@ -586,6 +589,66 @@ def test_loss_matches_two_pass_reference_bit_for_bit(case, monkeypatch):
     assert len(grads) == len(want_grads) == len(model.parameters())
     for got, want in zip(grads, want_grads):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", ["potential", "time", "interaction_beta", "subsample"])
+def test_multi_step_batch_matches_sum_of_single_step_calls(case, monkeypatch):
+    # a batch whose rows end on four different snapshots, in shuffled order,
+    # against one call per step with that step's rows, scores, times and
+    # population; the subsample draws come from equally seeded rngs and are
+    # taken in ascending step order on both sides
+    rng = _rng(33)
+    n, n_steps, tau = 48, 4, 0.1
+    subsample = 0
+    if case == "potential":
+        model = build_model(dim=2, seed=26, hidden=(6, 5))
+    elif case == "time":
+        model = build_model(dim=2, seed=27, time_conditioned=True, hidden=(6, 5))
+    else:
+        model = build_model(dim=2, seed=28, with_interaction=True, with_internal=True, hidden=(5, 4))
+        subsample = 7 if case == "subsample" else 0
+    steps = rng.permutation(np.arange(n) % n_steps)
+    x0 = rng.normal(size=(n, 2))
+    x1 = rng.normal(size=(n, 2))
+    masses = rng.uniform(0.1, 1.0, size=n)
+    scores = rng.normal(size=(n, 2)) if model.beta_raw is not None else None
+    times = (steps + 1) / n_steps if model.time_conditioned else None
+    populations = None
+    if model.interaction_net is not None:
+        populations = []
+        for count in (9, 12, 10, 11):
+            pw = rng.uniform(0.5, 1.0, size=count)
+            populations.append((rng.normal(size=(count, 2)), pw / pw.sum()))
+
+    tapes = []
+    tape = nn._tape
+    monkeypatch.setattr(nn, "_tape", lambda mlp, xb: tapes.append(len(xb)) or tape(mlp, xb))
+    loss, grads = loss_and_param_gradient(
+        model, x0, x1, masses, tau, scores=scores, times=times, populations=populations,
+        steps=steps, interaction_subsample=subsample, subsample_rng=np.random.default_rng(4),
+    )
+    if model.interaction_net is None:
+        assert tapes == [n]  # one potential tape for the whole batch
+    else:
+        assert tapes[0] == n and len(tapes) == 1 + n_steps
+
+    want_loss, want_grads = 0.0, [np.zeros_like(p) for p in model.parameters()]
+    step_rng = np.random.default_rng(4)
+    for t in range(n_steps):
+        sel = steps == t
+        part, part_grads = loss_and_param_gradient(
+            model, x0[sel], x1[sel], masses[sel], tau,
+            scores=None if scores is None else scores[sel],
+            times=None if times is None else times[sel],
+            populations=None if populations is None else [populations[t]],
+            interaction_subsample=subsample, subsample_rng=step_rng,
+        )
+        want_loss += part
+        want_grads = [acc + g for acc, g in zip(want_grads, part_grads)]
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert len(grads) == len(want_grads) == len(model.parameters())
+    for got, want in zip(grads, want_grads):
+        assert np.abs(np.asarray(got) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

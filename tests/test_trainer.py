@@ -17,7 +17,7 @@ import pytest
 
 from jkoflow import ot
 from jkoflow.datagen import GenConfig, _step_rng, generate
-from jkoflow.density import GaussianMixture
+from jkoflow.density import GaussianMixture, score
 from jkoflow.features import polynomial_map
 from jkoflow.functionals import EnergySpec, GroundTruthFunction
 from jkoflow.linear_solver import LinearEnergyModel
@@ -70,6 +70,8 @@ def _quadratic_model(extra: tuple[float, ...] = ()) -> LinearEnergyModel:
         (dict(learning_rate=0.0), "learning_rate"),
         (dict(gmm_k=0), "gmm_k"),
         (dict(ridge_lambda=-0.1), "ridge_lambda"),
+        (dict(interaction_subsample=-3), "interaction_subsample"),
+        (dict(hidden=(0,)), "hidden"),
     ],
 )
 def test_train_config_rejects_bad_values(kwargs, message):
@@ -192,7 +194,7 @@ def test_star_reduces_to_star_potential_when_pinned_terms_vanish():
     gmm = GaussianMixture(np.array([1.0]), np.zeros((1, 1)), np.eye(1)[None])
     loss_full, _ = loss_and_param_gradient(
         full, x0, x1, masses, 0.1,
-        snapshot_next=(x1, masses), gmm_next=gmm,
+        scores=score(gmm, x1), populations=[(x1, masses)],
     )
     loss_reduced, _ = loss_and_param_gradient(reduced, x0, x1, masses, 0.1)
     assert loss_full == loss_reduced
