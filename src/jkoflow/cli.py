@@ -63,78 +63,103 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-# defaults live here, not in argparse, so config files can override them
-_DEFAULTS: dict[str, dict] = {
+def _flag(default=None, **kwargs) -> tuple:
+    """One table entry: the key's default and its argparse keywords."""
+    return default, kwargs
+
+
+_SCHEMES = ["explicit", "implicit"]
+_OT_METHODS = ["exact", "sinkhorn"]
+_BOOL = argparse.BooleanOptionalAction
+
+_ABOUT = {
+    "generate": "sample a synthetic snapshot dataset",
+    "couple": "precompute optimal couplings for a dataset",
+    "train": "fit an energy model to a dataset",
+    "evaluate": "one-step-ahead transport error on a test set",
+    "predict": "roll a fitted model forward and save the result",
+    "experiment": "run one of the scripted studies",
+}
+
+# One table per subcommand, one entry per key; key ``init_low`` is the flag
+# ``--init-low``.  Defaults live here, not in argparse, so config files can
+# override them; a default that a config dataclass owns is read from it.
+_FLAGS: dict[str, dict[str, tuple]] = {
     "generate": {
-        "potential": None,
-        "interaction": None,
-        "beta": 0.0,
-        "dim": 2,
-        "particles": 2000,
-        "steps": 5,
-        "tau": 0.01,
-        "init_low": -4.0,
-        "init_high": 4.0,
-        "scheme": "explicit",
-        "seed": None,
-        "out": None,
+        "potential": _flag(choices=KINDS, help="ground-truth potential energy"),
+        "interaction": _flag(choices=KINDS, help="ground-truth interaction energy"),
+        "beta": _flag(EnergySpec.beta, type=float, help="diffusion strength (default 0)"),
+        "dim": _flag(GenConfig.dim, type=int, help="state dimension"),
+        "particles": _flag(GenConfig.n_particles, type=int,
+                           help="total particle count (half train, half test)"),
+        "steps": _flag(GenConfig.timesteps, type=int, help="number of transitions T"),
+        "tau": _flag(GenConfig.tau, type=float, help="step size"),
+        "init_low": _flag(GenConfig.init_low, type=float),
+        "init_high": _flag(GenConfig.init_high, type=float),
+        "scheme": _flag(GenConfig.scheme, choices=_SCHEMES),
+        "seed": _flag(type=int, help="required: generation is randomized"),
+        "out": _flag(help="output directory (train/ and test/ subdirs)"),
     },
     "couple": {
-        "data": None,
-        "ot_method": "exact",
-        "epsilon": 1.0,
-        "max_iters": 2000,
-        "tolerance": 1e-6,
-        "batch_size": 1000,
-        "seed": 0,
-        "jobs": None,
+        "data": _flag(help="trajectory directory (train/ subdir preferred)"),
+        "ot_method": _flag(ot.OtConfig.method, choices=_OT_METHODS),
+        "epsilon": _flag(ot.OtConfig.epsilon, type=float, help="entropic regularization strength"),
+        "max_iters": _flag(ot.OtConfig.max_iters, type=int),
+        "tolerance": _flag(ot.OtConfig.tolerance, type=float),
+        "batch_size": _flag(ot.OtConfig.batch_size, type=int),
+        "seed": _flag(ot.OtConfig.seed, type=int, help="seed for batched coupling shuffles"),
+        "jobs": _flag(type=int, help="parallel workers (env JKO_FLOW_JOBS)"),
     },
     "train": {
-        "data": None,
-        "variant": "star_potential",
-        "epochs": 1000,
-        "batch_pairs": 250,
-        "learning_rate": 1e-3,
-        "gmm_k": 10,
-        "ridge_lambda": 0.01,
-        "hidden": "64,64",
-        "interaction_subsample": 0,
-        "pin_internal": False,
-        "poly_degree": None,
-        "seed": None,
-        "ot_method": "exact",
-        "epsilon": 1.0,
-        "batch_size": 1000,
-        "jobs": None,
-        "out": None,
+        "data": _flag(help="trajectory directory (train/ subdir preferred)"),
+        "variant": _flag(trainer.TrainConfig.variant, choices=trainer.VARIANTS),
+        "epochs": _flag(trainer.TrainConfig.epochs, type=int),
+        "batch_pairs": _flag(trainer.TrainConfig.batch_pairs, type=int),
+        "learning_rate": _flag(trainer.TrainConfig.learning_rate, type=float),
+        "gmm_k": _flag(trainer.TrainConfig.gmm_k, type=int),
+        "ridge_lambda": _flag(trainer.TrainConfig.ridge_lambda, type=float),
+        "hidden": _flag(",".join(map(str, trainer.TrainConfig.hidden)),
+                        help="comma-separated hidden widths, e.g. 64,64"),
+        "interaction_subsample": _flag(trainer.TrainConfig.interaction_subsample, type=int),
+        "pin_internal": _flag(trainer.TrainConfig.pin_internal, action=_BOOL,
+                              help="drop the diffusion term even for star/star_linear"),
+        "poly_degree": _flag(type=int, help="linear variants: replace the default basis "
+                             "with pure per-coordinate polynomials"),
+        "seed": _flag(type=int, help="required: shuffling and init are randomized"),
+        "ot_method": _flag(ot.OtConfig.method, choices=_OT_METHODS),
+        "epsilon": _flag(ot.OtConfig.epsilon, type=float),
+        "batch_size": _flag(ot.OtConfig.batch_size, type=int),
+        "jobs": _flag(type=int),
+        "out": _flag(help="model checkpoint path (JSON)"),
     },
     "evaluate": {
-        "data": None,
-        "model": None,
-        "report": None,
-        "scheme": "explicit",
-        "beta_noise": False,
-        "seed": None,
+        "data": _flag(help="trajectory directory (test/ subdir preferred)"),
+        "model": _flag(help="model checkpoint path"),
+        "report": _flag(help="output report path (JSON)"),
+        "scheme": _flag("explicit", choices=_SCHEMES),
+        "beta_noise": _flag(False, action=_BOOL),
+        "seed": _flag(type=int, help="required with --beta-noise"),
     },
     "predict": {
-        "data": None,
-        "model": None,
-        "steps": None,
-        "from_index": 0,
-        "scheme": "explicit",
-        "beta_noise": False,
-        "seed": None,
-        "out": None,
+        "data": _flag(help="trajectory directory providing the starting snapshot"),
+        "model": _flag(help="model checkpoint path"),
+        "steps": _flag(type=int, help="rollout length (default: rest of the trajectory)"),
+        "from_index": _flag(0, type=int, help="starting snapshot index"),
+        "scheme": _flag("explicit", choices=_SCHEMES),
+        "beta_noise": _flag(False, action=_BOOL),
+        "seed": _flag(type=int, help="required with --beta-noise"),
+        "out": _flag(help="output trajectory directory"),
     },
     "experiment": {
-        "name": None,
-        "seed": None,
-        "full": False,
-        "epochs": None,
-        "potential": None,
-        "interaction": None,
-        "jobs": None,
-        "out": None,
+        # the one positional argument: the entry with nargs
+        "name": _flag(nargs="?", choices=sorted(experiments.RUNNERS), help="which study to run"),
+        "seed": _flag(type=int, help="required: experiments are randomized"),
+        "full": _flag(False, action=_BOOL, help="large-scale grids"),
+        "epochs": _flag(type=int, help="override the study's default epoch budget"),
+        "potential": _flag(choices=KINDS, help="override the study's potential"),
+        "interaction": _flag(choices=KINDS, help="override the study's interaction"),
+        "jobs": _flag(type=int),
+        "out": _flag(help="output directory for tables and reports"),
     },
 }
 
@@ -142,8 +167,8 @@ _DEFAULTS: dict[str, dict] = {
 def _build_parser() -> _Parser:
     parser = _Parser(prog="jko-flow", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def common(p: _Parser) -> None:
+    for command, flags in _FLAGS.items():
+        p = sub.add_parser(command, help=_ABOUT[command])
         p.add_argument("--config", help="JSON file mirroring this command's flags")
         p.add_argument(
             "--verbosity",
@@ -151,105 +176,14 @@ def _build_parser() -> _Parser:
             default="info",
             help="log level for stderr output",
         )
-
-    p = sub.add_parser("generate", help="sample a synthetic snapshot dataset")
-    common(p)
-    p.add_argument("--potential", choices=KINDS, help="ground-truth potential energy")
-    p.add_argument("--interaction", choices=KINDS, help="ground-truth interaction energy")
-    p.add_argument("--beta", type=float, help="diffusion strength (default 0)")
-    p.add_argument("--dim", type=int, help="state dimension")
-    p.add_argument("--particles", type=int, help="total particle count (half train, half test)")
-    p.add_argument("--steps", type=int, help="number of transitions T")
-    p.add_argument("--tau", type=float, help="step size")
-    p.add_argument("--init-low", type=float, dest="init_low")
-    p.add_argument("--init-high", type=float, dest="init_high")
-    p.add_argument("--scheme", choices=["explicit", "implicit"])
-    p.add_argument("--seed", type=int, help="required: generation is randomized")
-    p.add_argument("--out", help="output directory (train/ and test/ subdirs)")
-
-    p = sub.add_parser("couple", help="precompute optimal couplings for a dataset")
-    common(p)
-    p.add_argument("--data", help="trajectory directory (train/ subdir preferred)")
-    p.add_argument("--ot-method", choices=["exact", "sinkhorn"], dest="ot_method")
-    p.add_argument("--epsilon", type=float, help="entropic regularization strength")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--seed", type=int, help="seed for batched coupling shuffles")
-    p.add_argument("--jobs", type=int, help="parallel workers (env JKO_FLOW_JOBS)")
-
-    p = sub.add_parser("train", help="fit an energy model to a dataset")
-    common(p)
-    p.add_argument("--data", help="trajectory directory (train/ subdir preferred)")
-    p.add_argument("--variant", choices=trainer.VARIANTS)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-pairs", type=int, dest="batch_pairs")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--gmm-k", type=int, dest="gmm_k")
-    p.add_argument("--ridge-lambda", type=float, dest="ridge_lambda")
-    p.add_argument("--hidden", help="comma-separated hidden widths, e.g. 64,64")
-    p.add_argument("--interaction-subsample", type=int, dest="interaction_subsample")
-    p.add_argument(
-        "--pin-internal",
-        action=argparse.BooleanOptionalAction,
-        dest="pin_internal",
-        help="drop the diffusion term even for star/star_linear",
-    )
-    p.add_argument(
-        "--poly-degree",
-        type=int,
-        dest="poly_degree",
-        help="linear variants: replace the default basis with pure per-coordinate polynomials",
-    )
-    p.add_argument("--seed", type=int, help="required: shuffling and init are randomized")
-    p.add_argument("--ot-method", choices=["exact", "sinkhorn"], dest="ot_method")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--out", help="model checkpoint path (JSON)")
-
-    p = sub.add_parser("evaluate", help="one-step-ahead transport error on a test set")
-    common(p)
-    p.add_argument("--data", help="trajectory directory (test/ subdir preferred)")
-    p.add_argument("--model", help="model checkpoint path")
-    p.add_argument("--report", help="output report path (JSON)")
-    p.add_argument("--scheme", choices=["explicit", "implicit"])
-    p.add_argument("--beta-noise", action=argparse.BooleanOptionalAction, dest="beta_noise")
-    p.add_argument("--seed", type=int, help="required with --beta-noise")
-
-    p = sub.add_parser("predict", help="roll a fitted model forward and save the result")
-    common(p)
-    p.add_argument("--data", help="trajectory directory providing the starting snapshot")
-    p.add_argument("--model", help="model checkpoint path")
-    p.add_argument("--steps", type=int, help="rollout length (default: rest of the trajectory)")
-    p.add_argument("--from-index", type=int, dest="from_index", help="starting snapshot index")
-    p.add_argument("--scheme", choices=["explicit", "implicit"])
-    p.add_argument("--beta-noise", action=argparse.BooleanOptionalAction, dest="beta_noise")
-    p.add_argument("--seed", type=int, help="required with --beta-noise")
-    p.add_argument("--out", help="output trajectory directory")
-
-    p = sub.add_parser("experiment", help="run one of the scripted studies")
-    common(p)
-    p.add_argument(
-        "name",
-        nargs="?",
-        choices=sorted(experiments.RUNNERS),
-        help="which study to run",
-    )
-    p.add_argument("--seed", type=int, help="required: experiments are randomized")
-    p.add_argument("--full", action=argparse.BooleanOptionalAction, help="large-scale grids")
-    p.add_argument("--epochs", type=int, help="override the study's default epoch budget")
-    p.add_argument("--potential", choices=KINDS, help="override the study's potential")
-    p.add_argument("--interaction", choices=KINDS, help="override the study's interaction")
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--out", help="output directory for tables and reports")
-
+        for key, (_, kwargs) in flags.items():
+            p.add_argument(key if "nargs" in kwargs else "--" + key.replace("_", "-"), **kwargs)
     return parser
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
-    resolved = dict(_DEFAULTS[command])
+    resolved = {key: default for key, (default, _) in _FLAGS[command].items()}
     if args.config:
         path = Path(args.config)
         if not path.is_file():
@@ -338,16 +272,20 @@ def _cmd_generate(cfg: dict) -> int:
     return EXIT_OK
 
 
+# CLI key -> (OtConfig field, conversion); keys a command lacks keep the field's default
+_OT_KEYS = {
+    "ot_method": ("method", str),
+    "epsilon": ("epsilon", float),
+    "max_iters": ("max_iters", int),
+    "tolerance": ("tolerance", float),
+    "batch_size": ("batch_size", int),
+    "seed": ("seed", int),
+}
+
+
 def _ot_config(cfg: dict) -> ot.OtConfig:
-    return ot.OtConfig(
-        method=cfg.get("ot_method", "exact"),
-        epsilon=float(cfg.get("epsilon", 1.0)),
-        max_iters=int(cfg.get("max_iters", 2000)),
-        tolerance=float(cfg.get("tolerance", 1e-6)),
-        batch_size=int(cfg.get("batch_size", 1000)),
-        seed=int(cfg.get("seed") or 0),
-        jobs=int(cfg.get("jobs") or _default_jobs()),
-    )
+    given = {f: convert(cfg[k]) for k, (f, convert) in _OT_KEYS.items() if cfg.get(k) is not None}
+    return ot.OtConfig(**given, jobs=int(cfg.get("jobs") or _default_jobs()))
 
 
 def _cmd_couple(cfg: dict) -> int:

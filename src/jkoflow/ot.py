@@ -238,12 +238,16 @@ def _tree_path(adj: list[set[int]], start: int, goal: int) -> list[int]:
     return path
 
 
+def _times(source: EmpiricalSnapshot, target: EmpiricalSnapshot) -> tuple[int, int]:
+    # a plan must point forward in time even between snapshots of one time
+    # index, as emd's predicted and observed clouds are
+    return source.time_index, max(target.time_index, source.time_index + 1)
+
+
 def solve_exact(
     source: EmpiricalSnapshot,
     target: EmpiricalSnapshot,
     cost_exponent: int = 2,
-    source_time: int | None = None,
-    target_time: int | None = None,
 ) -> Coupling:
     """Optimal plan between two snapshots under squared (2) or plain (1) distance.
 
@@ -252,10 +256,7 @@ def solve_exact(
     permutation and is found by assignment instead of simplex.
     """
     _count_solve()
-    st = source.time_index if source_time is None else source_time
-    tt = target.time_index if target_time is None else target_time
-    if tt <= st:
-        tt = st + 1
+    st, tt = _times(source, target)
     cost = cost_matrix(source.points, target.points, cost_exponent)
     n, m = cost.shape
     if n == m and _is_uniform(source.weights) and _is_uniform(target.weights):
@@ -284,14 +285,14 @@ def solve_sinkhorn(
     max_iters: int = 2000,
     tolerance: float = 1e-6,
     cost_exponent: int = 2,
-    source_time: int | None = None,
-    target_time: int | None = None,
 ) -> Coupling:
     """Entropically regularized plan via log-domain Sinkhorn iterations.
 
-    Converged when both marginals match within ``tolerance`` in L1.  If the
-    iteration cap is hit first, the best iterate is returned with
-    ``converged=False`` and a warning is logged.
+    Converged when the row marginal matches within ``tolerance`` in L1 right
+    after a column update, which leaves the column marginal exact.  If the
+    iteration cap is hit first, the last iterate is used with
+    ``converged=False`` and a warning is logged.  Either way the plan is then
+    rounded onto the exact marginals.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -300,46 +301,60 @@ def solve_sinkhorn(
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     _count_solve()
-    st = source.time_index if source_time is None else source_time
-    tt = target.time_index if target_time is None else target_time
-    if tt <= st:
-        tt = st + 1
+    st, tt = _times(source, target)
     cost = cost_matrix(source.points, target.points, cost_exponent)
+    a, b = source.weights, target.weights
+    live = a > 0
     with np.errstate(divide="ignore"):
-        log_a = np.log(source.weights)
-        log_b = np.log(target.weights)
-    f = np.zeros(cost.shape[0])
-    g = np.zeros(cost.shape[1])
-    converged = False
-    for _ in range(max_iters):
-        f = epsilon * (log_a - logsumexp((g[None, :] - cost) / epsilon, axis=1))
+        log_a = np.log(a)
+        log_b = np.log(b)
+
+    def f_update(g: np.ndarray) -> np.ndarray:
+        return epsilon * (log_a - logsumexp((g[None, :] - cost) / epsilon, axis=1))
+
+    f = f_update(np.zeros(cost.shape[1]))
+    for iteration in range(max_iters):
         g = epsilon * (log_b - logsumexp((f[:, None] - cost) / epsilon, axis=0))
-        finite_f = f[source.weights > 0]
-        if not np.all(np.isfinite(finite_f)):
+        if not np.all(np.isfinite(f[live])):
             raise FloatingPointError(
                 "Sinkhorn potentials overflowed; epsilon is too small for this "
                 "cost scale, increase it"
             )
-        # column marginals are exact right after the g update; track rows too
-        log_plan = (f[:, None] + g[None, :] - cost) / epsilon
-        row_err = float(np.abs(np.exp(logsumexp(log_plan, axis=1)) - source.weights).sum())
-        col_err = float(np.abs(np.exp(logsumexp(log_plan, axis=0)) - target.weights).sum())
-        if row_err < tolerance and col_err < tolerance:
-            converged = True
+        # the row sums of plan(f, g) are a * exp((f - f_next) / eps), where
+        # f_next is the next row update's potential
+        f_next = f_update(g)
+        row_err = float(np.abs(np.expm1((f[live] - f_next[live]) / epsilon) * a[live]).sum())
+        converged = row_err < tolerance
+        if converged or iteration == max_iters - 1:
             break
+        f = f_next
     if not converged:
         logger.warning(
             "Sinkhorn did not reach tolerance %.1e in %d iterations "
-            "(marginal errors %.2e / %.2e); returning best iterate",
+            "(row marginal error %.2e); returning the last iterate",
             tolerance,
             max_iters,
             row_err,
-            col_err,
         )
-    plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
+    plan = _round_to_marginals(np.exp((f[:, None] + g[None, :] - cost) / epsilon), a, b)
     src, tgt = np.nonzero(plan > 0)
     masses = plan[src, tgt]
     return Coupling(st, tt, src, tgt, masses / masses.sum(), converged=converged)
+
+
+def _round_to_marginals(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nearby plan with marginals exactly (a, b): Altschuler, Weed & Rigollet
+    2017, Algorithm 2.  Rows are scaled down to at most a, columns to at most
+    b, and the rank-one term err_r err_c^T / |err_c|_1 restores the missing mass."""
+    row = plan.sum(axis=1)
+    plan *= np.minimum(1.0, np.divide(a, row, out=np.ones_like(a), where=row > 0))[:, None]
+    col = plan.sum(axis=0)
+    plan *= np.minimum(1.0, np.divide(b, col, out=np.ones_like(b), where=col > 0))[None, :]
+    err_r = np.maximum(a - plan.sum(axis=1), 0.0)
+    err_c = np.maximum(b - plan.sum(axis=0), 0.0)
+    if err_c.sum() > 0:
+        plan += np.outer(err_r, err_c / err_c.sum())
+    return plan
 
 
 # ---------------------------------------------------------------------------

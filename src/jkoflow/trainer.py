@@ -197,6 +197,11 @@ def _fit_mlp(
 # prediction and evaluation
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+
+
 def predict_explicit(
     model,
     initial: EmpiricalSnapshot,
@@ -216,6 +221,7 @@ def predict_explicit(
     the learned beta is added.  Time-conditioned models read the potential at
     the step's own time, ``(time_offset + k) / time_scale``.
     """
+    _check_steps(steps)
     offset = initial.time_index if time_offset is None else time_offset
     points = initial.points.copy()
     frames = [points]
@@ -255,6 +261,7 @@ def predict_implicit(
         or getattr(model, "interaction_map", None) is not None
     ):
         raise ValueError("implicit prediction supports potential-only models")
+    _check_steps(steps)
     offset = initial.time_index if time_offset is None else time_offset
     time_conditioned = getattr(model, "time_conditioned", False)
     if time_conditioned and time_scale is None:

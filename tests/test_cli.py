@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import jkoflow
-from jkoflow import experiments
+from jkoflow import cli, experiments
 from jkoflow.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from jkoflow.measures import load_coupling, load_trajectory
 
@@ -245,6 +245,29 @@ def test_predict_implicit_scheme(sphere_dataset, tmp_path):
     assert load_trajectory(out).n_snapshots == 2
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_predict_rejects_a_rollout_without_steps(sphere_dataset, tmp_path, steps):
+    model_path = tmp_path / "m.json"
+    run(
+        "train",
+        "--data", str(sphere_dataset),
+        "--variant", "star_linear_potential",
+        "--poly-degree", "2",
+        "--seed", "2",
+        "--out", str(model_path),
+    )
+    out = tmp_path / "r"
+    code = run(
+        "predict",
+        "--data", str(sphere_dataset),
+        "--model", str(model_path),
+        "--steps", steps,
+        "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_predict_from_index_out_of_range(sphere_dataset, tmp_path):
     model_path = tmp_path / "m.json"
     run(
@@ -344,6 +367,55 @@ def test_subcommand_help_documents_flags(capsys):
     for flag in ("--potential", "--interaction", "--beta", "--init-low", "--scheme",
                  "--config", "--verbosity", "--seed", "--out"):
         assert flag in out
+
+
+# the CLI contract: every key a command resolves, in order, with its default
+RESOLVED_DEFAULTS = {
+    "generate": {
+        "potential": None, "interaction": None, "beta": 0.0, "dim": 2, "particles": 2000,
+        "steps": 5, "tau": 0.01, "init_low": -4.0, "init_high": 4.0, "scheme": "explicit",
+        "seed": None, "out": None,
+    },
+    "couple": {
+        "data": None, "ot_method": "exact", "epsilon": 1.0, "max_iters": 2000,
+        "tolerance": 1e-6, "batch_size": 1000, "seed": 0, "jobs": None,
+    },
+    "train": {
+        "data": None, "variant": "star_potential", "epochs": 1000, "batch_pairs": 250,
+        "learning_rate": 1e-3, "gmm_k": 10, "ridge_lambda": 0.01, "hidden": "64,64",
+        "interaction_subsample": 0, "pin_internal": False, "poly_degree": None, "seed": None,
+        "ot_method": "exact", "epsilon": 1.0, "batch_size": 1000, "jobs": None, "out": None,
+    },
+    "evaluate": {
+        "data": None, "model": None, "report": None, "scheme": "explicit",
+        "beta_noise": False, "seed": None,
+    },
+    "predict": {
+        "data": None, "model": None, "steps": None, "from_index": 0, "scheme": "explicit",
+        "beta_noise": False, "seed": None, "out": None,
+    },
+    "experiment": {
+        "name": None, "seed": None, "full": False, "epochs": None, "potential": None,
+        "interaction": None, "jobs": None, "out": None,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(RESOLVED_DEFAULTS))
+def test_resolved_defaults_and_help_keep_the_cli_contract(command, capsys):
+    parser = cli._build_parser()
+    resolved = cli._resolve(command, parser.parse_args([command]))
+    expected = RESOLVED_DEFAULTS[command]
+    assert list(resolved) == list(expected)
+    assert resolved == expected
+    assert [type(v) for v in resolved.values()] == [type(v) for v in expected.values()]
+    with pytest.raises(SystemExit):
+        run(command, "--help")
+    out = capsys.readouterr().out
+    for key in expected:
+        # experiment's study name is positional and shows as the study choices
+        flag = "{" if key == "name" else "--" + key.replace("_", "-")
+        assert flag in out, (command, key)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,18 @@ def test_sinkhorn_iteration_cap_returns_best_iterate(rng, caplog):
     assert any("did not reach tolerance" in rec.message for rec in caplog.records)
 
 
+@pytest.mark.parametrize("max_iters", [2000, 3], ids=["converged", "iteration-cap"])
+def test_sinkhorn_coupling_of_unequal_counts_has_exact_marginals(rng, max_iters):
+    # the L1 stopping tolerance alone leaves per-particle errors far above
+    # COUPLING_ATOL; the rounding onto the marginals removes them, and a plan
+    # cut off by the iteration cap still reports converged=False
+    mu = uniform_snapshot(rng.normal(size=(37, 2)), 0)
+    nu = uniform_snapshot(rng.normal(size=(29, 2)) * 1.5 + 0.5, 1)
+    plan = couple_snapshots(mu, nu, OtConfig(method="sinkhorn", max_iters=max_iters))
+    check_coupling_marginals(plan, mu, nu)
+    assert plan.converged == (max_iters == 2000)
+
+
 def test_sinkhorn_log_domain_survives_small_epsilon(rng):
     # kernel entries exp(-cost/eps) underflow to zero here; log domain must not
     mu = uniform_snapshot(rng.normal(size=(5, 2)), 0)

@@ -311,6 +311,14 @@ def test_predict_time_conditioned_requires_time_scale():
         predict_implicit(model, snap, steps=1, tau=0.1)
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_predict_rejects_fewer_than_one_step(steps):
+    snap = uniform_snapshot(np.array([[1.0], [2.0]]), 0)
+    for predict in (predict_explicit, predict_implicit):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            predict(_quadratic_model(), snap, steps=steps, tau=0.1)
+
+
 def test_predict_implicit_quadratic_and_identity():
     x = np.linspace(-1, 1, 6)[:, None]
     snap = uniform_snapshot(x, 0)
