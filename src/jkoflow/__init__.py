@@ -43,8 +43,7 @@ from .trainer import (
     evaluate,
     fit,
     load_model,
-    predict_explicit,
-    predict_implicit,
+    predict,
     save_model,
 )
 
@@ -91,8 +90,7 @@ __all__ = [
     "load_trajectory",
     "log_density",
     "polynomial_map",
-    "predict_explicit",
-    "predict_implicit",
+    "predict",
     "save_coupling",
     "save_model",
     "save_trajectory",

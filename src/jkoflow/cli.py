@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import experiments, ot, trainer
-from .datagen import GenConfig, generate
+from .datagen import SCHEMES, GenConfig, generate
 from .features import polynomial_map
 from .functionals import KINDS, EnergySpec, GroundTruthFunction
 from .measures import (
@@ -68,7 +68,6 @@ def _flag(default=None, **kwargs) -> tuple:
     return default, kwargs
 
 
-_SCHEMES = ["explicit", "implicit"]
 _OT_METHODS = ["exact", "sinkhorn"]
 _BOOL = argparse.BooleanOptionalAction
 
@@ -96,7 +95,7 @@ _FLAGS: dict[str, dict[str, tuple]] = {
         "tau": _flag(GenConfig.tau, type=float, help="step size"),
         "init_low": _flag(GenConfig.init_low, type=float),
         "init_high": _flag(GenConfig.init_high, type=float),
-        "scheme": _flag(GenConfig.scheme, choices=_SCHEMES),
+        "scheme": _flag(GenConfig.scheme, choices=SCHEMES),
         "seed": _flag(type=int, help="required: generation is randomized"),
         "out": _flag(help="output directory (train/ and test/ subdirs)"),
     },
@@ -136,7 +135,7 @@ _FLAGS: dict[str, dict[str, tuple]] = {
         "data": _flag(help="trajectory directory (test/ subdir preferred)"),
         "model": _flag(help="model checkpoint path"),
         "report": _flag(help="output report path (JSON)"),
-        "scheme": _flag("explicit", choices=_SCHEMES),
+        "scheme": _flag("explicit", choices=SCHEMES),
         "beta_noise": _flag(False, action=_BOOL),
         "seed": _flag(type=int, help="required with --beta-noise"),
     },
@@ -145,7 +144,7 @@ _FLAGS: dict[str, dict[str, tuple]] = {
         "model": _flag(help="model checkpoint path"),
         "steps": _flag(type=int, help="rollout length (default: rest of the trajectory)"),
         "from_index": _flag(0, type=int, help="starting snapshot index"),
-        "scheme": _flag("explicit", choices=_SCHEMES),
+        "scheme": _flag("explicit", choices=SCHEMES),
         "beta_noise": _flag(False, action=_BOOL),
         "seed": _flag(type=int, help="required with --beta-noise"),
         "out": _flag(help="output trajectory directory"),
@@ -388,17 +387,11 @@ def _cmd_predict(cfg: dict) -> int:
     steps = cfg["steps"]
     steps = int(steps) if steps is not None else max(1, traj.n_steps - start_index)
     model = trainer.load_model(cfg["model"])
-    if cfg["scheme"] == "implicit":
-        rollout = trainer.predict_implicit(
-            model, traj.snapshots[start_index], steps, traj.tau,
-            time_offset=start_index, time_scale=traj.n_steps,
-        )
-    else:
-        rollout = trainer.predict_explicit(
-            model, traj.snapshots[start_index], steps, traj.tau,
-            beta_noise=bool(cfg["beta_noise"]), seed=int(cfg.get("seed") or 0),
-            time_offset=start_index, time_scale=traj.n_steps,
-        )
+    rollout = trainer.predict(
+        model, traj.snapshots[start_index], steps, traj.tau, cfg["scheme"],
+        beta_noise=bool(cfg["beta_noise"]), seed=int(cfg.get("seed") or 0),
+        time_offset=start_index, time_scale=traj.n_steps,
+    )
     out = Path(cfg["out"])
     save_trajectory(rollout, out, generator=f"predict:{cfg['scheme']}", seed=cfg.get("seed"))
     _echo_config(cfg, "predict", out)

@@ -27,6 +27,7 @@ from .measures import EmpiricalSnapshot, PopulationTrajectory, pairwise_mean, un
 IMPLICIT_TOL = 1e-8
 IMPLICIT_MAX_ITERS = 200
 IMPLICIT_DAMPING = 0.5
+SCHEMES = ("explicit", "implicit")
 
 GradFn = Callable[[np.ndarray, float | None], np.ndarray]
 
@@ -54,7 +55,7 @@ class GenConfig:
             raise ValueError("tau must be positive")
         if not (self.init_low < self.init_high):
             raise ValueError("init_low must be strictly below init_high")
-        if self.scheme not in ("explicit", "implicit"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be 'explicit' or 'implicit', got {self.scheme!r}")
         if self.scheme == "implicit" and (
             self.spec.interaction is not None or self.spec.beta > 0
@@ -149,6 +150,26 @@ def implicit_step(
     )
 
 
+def _simulate(
+    seed: int, n_particles: int, dim: int, box: tuple[float, float], tau: float,
+    steps: int, step: Callable[[np.ndarray, int], np.ndarray],
+) -> tuple[PopulationTrajectory, PopulationTrajectory]:
+    """The generators' shared body: the initial draw, uniform in ``box``,
+    ``steps`` calls of ``step(points, t)``, and the train/test split."""
+    init_rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
+    )
+    points = init_rng.uniform(*box, size=(n_particles, dim))
+    frames = [points]
+    for t in range(steps):
+        points = step(points, t)
+        frames.append(points)
+    n_train = (n_particles + 1) // 2
+    train = [uniform_snapshot(f[:n_train], t) for t, f in enumerate(frames)]
+    test = [uniform_snapshot(f[n_train:], t) for t, f in enumerate(frames)]
+    return PopulationTrajectory(train, tau), PopulationTrajectory(test, tau)
+
+
 def generate(cfg: GenConfig) -> tuple[PopulationTrajectory, PopulationTrajectory]:
     """Simulate the population and split it into train/test trajectories.
 
@@ -156,30 +177,18 @@ def generate(cfg: GenConfig) -> tuple[PopulationTrajectory, PopulationTrajectory
     (the interaction term sees the full population); the first half of the
     particle axis becomes the train trajectory, the second half test.
     """
-    init_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    )
-    points = init_rng.uniform(cfg.init_low, cfg.init_high, size=(cfg.n_particles, cfg.dim))
-    frames = [points]
-    for t in range(cfg.timesteps):
-        if cfg.scheme == "explicit":
-            noise = None
-            if cfg.spec.beta > 0:
-                noise = _step_rng(cfg.seed, t).standard_normal(points.shape)
-            points = explicit_step(points, cfg.spec, cfg.tau, noise)
-        else:
+
+    def step(points: np.ndarray, t: int) -> np.ndarray:
+        if cfg.scheme == "implicit":
             potential = cfg.spec.potential
-            points = implicit_step(
-                points, lambda x, _t: potential.gradient(x), cfg.tau
-            )
-        frames.append(points)
-    n_train = (cfg.n_particles + 1) // 2
-    train = [uniform_snapshot(f[:n_train], t) for t, f in enumerate(frames)]
-    test = [uniform_snapshot(f[n_train:], t) for t, f in enumerate(frames)]
-    return (
-        PopulationTrajectory(train, cfg.tau),
-        PopulationTrajectory(test, cfg.tau),
-    )
+            return implicit_step(points, lambda x, _t: potential.gradient(x), cfg.tau)
+        noise = None
+        if cfg.spec.beta > 0:
+            noise = _step_rng(cfg.seed, t).standard_normal(points.shape)
+        return explicit_step(points, cfg.spec, cfg.tau, noise)
+
+    box = (cfg.init_low, cfg.init_high)
+    return _simulate(cfg.seed, cfg.n_particles, cfg.dim, box, cfg.tau, cfg.timesteps, step)
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +232,10 @@ def generate_time_varying_1d(
     Ten uniform steps of size 0.1; the step into time t' uses the potential
     at t'.  Returns (train, test) halves like :func:`generate`.
     """
-    init_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
-    )
-    points = init_rng.uniform(init_low, init_high, size=(n_particles, 1))
-    frames = [points]
-    for k in range(TIME_VARYING_STEPS):
+
+    def step(points: np.ndarray, k: int) -> np.ndarray:
         t_next = (k + 1) / TIME_VARYING_STEPS
-        points = implicit_step(points, gated_quadratic_grad, TIME_VARYING_TAU, t_next)
-        frames.append(points)
-    n_train = (n_particles + 1) // 2
-    train = [uniform_snapshot(f[:n_train], t) for t, f in enumerate(frames)]
-    test = [uniform_snapshot(f[n_train:], t) for t, f in enumerate(frames)]
-    return (
-        PopulationTrajectory(train, TIME_VARYING_TAU),
-        PopulationTrajectory(test, TIME_VARYING_TAU),
-    )
+        return implicit_step(points, gated_quadratic_grad, TIME_VARYING_TAU, t_next)
+
+    box = (init_low, init_high)
+    return _simulate(seed, n_particles, 1, box, TIME_VARYING_TAU, TIME_VARYING_STEPS, step)

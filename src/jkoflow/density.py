@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .measures import as_batch
+
 VARIANCE_FLOOR = 1e-6
 COLLAPSE_WEIGHT = 1e-10
 MAX_REINITS = 3
@@ -81,18 +83,9 @@ class GaussianMixture:
         )
 
 
-def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise ValueError(f"expected point of dim {dim}, got shape {x.shape}")
-        return x[None, :], True
-    return x, False
-
-
 def log_density(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray | float:
     """Log of the mixture density, evaluated stably via log-sum-exp."""
-    xb, single = _as_batch(x, gmm.dim)
+    xb, single = as_batch(x, gmm.dim)
     out = logsumexp(gmm._component_log_densities(gmm._whiten(xb)), axis=1)
     return float(out[0]) if single else out
 
@@ -100,7 +93,7 @@ def log_density(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray | float:
 def score(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     """Gradient of log-density: responsibility-weighted sum of
     Sigma_j^{-1} (mu_j - x) = -W_j^T z_j."""
-    xb, single = _as_batch(x, gmm.dim)
+    xb, single = as_batch(x, gmm.dim)
     z = gmm._whiten(xb)
     log_comp = gmm._component_log_densities(z)
     resp = np.exp(log_comp - logsumexp(log_comp, axis=1, keepdims=True))

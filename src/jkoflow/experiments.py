@@ -36,13 +36,7 @@ from .datagen import (
 from .functionals import KINDS, EnergySpec, GroundTruthFunction
 from .features import polynomial_map
 from .measures import PopulationTrajectory, uniform_snapshot
-from .trainer import (
-    TrainConfig,
-    evaluate,
-    fit,
-    predict_explicit,
-    predict_implicit,
-)
+from .trainer import TrainConfig, evaluate, fit, predict
 
 logger = logging.getLogger(__name__)
 
@@ -342,10 +336,7 @@ def run_time_varying(
     rows = []
     for model_name, model in (("trained", result.model), ("ground_truth", _GatedTruthModel())):
         for scheme in ("implicit", "explicit"):
-            if scheme == "implicit":
-                rollout = predict_implicit(model, start, steps, truth.tau, time_scale=steps)
-            else:
-                rollout = predict_explicit(model, start, steps, truth.tau, time_scale=steps)
+            rollout = predict(model, start, steps, truth.tau, scheme, time_scale=steps)
             stats = _max_deviation(rollout, truth)
             rows.append({"model": model_name, "prediction": scheme, **stats})
             logger.info(

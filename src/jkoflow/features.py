@@ -17,6 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .measures import as_batch
+
 DEFAULT_POLY_DEGREE = 4
 DEFAULT_RBF_SIGMA = 0.5
 DEFAULT_RBF_GRID = 10
@@ -64,20 +66,9 @@ class FeatureMap:
         return n
 
 
-def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise ValueError(f"expected point of dim {dim}, got shape {x.shape}")
-        return x[None, :], True
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"expected (B, {dim}) batch, got shape {x.shape}")
-    return x, False
-
-
 def eval_features(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
     """Feature values, shape (n_features,) for a point or (B, n_features)."""
-    xb, single = _as_batch(x, fm.dim)
+    xb, single = as_batch(x, fm.dim)
     parts = []
     for p in range(1, fm.poly_degree + 1):
         parts.append(xb**p)
@@ -92,7 +83,7 @@ def eval_features(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
 
 def jacobian_features(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
     """Feature Jacobian, shape (n_features, dim) for a point or (B, n, dim)."""
-    xb, single = _as_batch(x, fm.dim)
+    xb, single = as_batch(x, fm.dim)
     b, d = xb.shape
     parts = []
     eye = np.eye(d)

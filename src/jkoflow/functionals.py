@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import as_batch
+
 KINDS = (
     "styblinski_tang",
     "holder_table",
@@ -316,23 +318,13 @@ class GroundTruthFunction:
         if self.kind in _NEEDS_HALF_SPLIT and self.dim < 2:
             raise ValueError(f"{self.kind} requires dim >= 2")
 
-    def _as_batch(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            if x.shape[0] != self.dim:
-                raise ValueError(f"expected point of dim {self.dim}, got shape {x.shape}")
-            return x[None, :], True
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ValueError(f"expected (B, {self.dim}) batch, got shape {x.shape}")
-        return x, False
-
     def value(self, x: np.ndarray) -> np.ndarray | float:
-        xb, single = self._as_batch(x)
+        xb, single = as_batch(x, self.dim)
         out = _REGISTRY[self.kind][0](xb)
         return float(out[0]) if single else out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        xb, single = self._as_batch(x)
+        xb, single = as_batch(x, self.dim)
         out = _REGISTRY[self.kind][1](xb)
         return out[0] if single else out
 

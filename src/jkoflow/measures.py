@@ -5,7 +5,8 @@ snapshots sharing a dimension and a step size tau.  Couplings are sparse
 transport plans between consecutive snapshots.  Trajectories round-trip
 through a plain directory layout: ``metadata.json`` plus one CSV per snapshot
 (and optionally one CSV per coupling).  ``pairwise_mean`` averages a function
-of x - y over a population, in row blocks under one memory budget.
+of x - y over a population, in row blocks under one memory budget, and
+``as_batch`` is the point-or-batch input rule of the pointwise evaluators.
 """
 
 from __future__ import annotations
@@ -162,6 +163,18 @@ def check_coupling_marginals(
             "coupling marginals do not match the measures: "
             f"source err {row_err:.3e}, target err {col_err:.3e} (tol {COUPLING_ATOL})"
         )
+
+
+def as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+    """``x`` as a float64 (B, dim) batch, and whether it was a single (dim,) point."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        if x.shape[0] != dim:
+            raise ValueError(f"expected point of dim {dim}, got shape {x.shape}")
+        return x[None, :], True
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ValueError(f"expected (B, {dim}) batch, got shape {x.shape}")
+    return x, False
 
 
 def pair_chunks(

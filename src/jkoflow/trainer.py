@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ot
-from .datagen import _step_rng, implicit_step
+from .datagen import SCHEMES, _step_rng, implicit_step
 from .density import GaussianMixture, fit_gmm, score
 from .features import FeatureMap, build_default
 from .linear_solver import LinearEnergyModel, fit_linear
@@ -197,84 +197,65 @@ def _fit_mlp(
 # prediction and evaluation
 
 
-def _check_steps(steps: int) -> None:
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-
-
-def predict_explicit(
+def predict(
     model,
     initial: EmpiricalSnapshot,
     steps: int,
     tau: float,
+    scheme: str = "explicit",
     beta_noise: bool = False,
     seed: int = 0,
     time_offset: int | None = None,
     time_scale: int | None = None,
 ) -> PopulationTrajectory:
-    """Forward rollout with the learned energies.
+    """Roll the learned energies forward ``steps`` steps from ``initial``.
 
-    Each step subtracts tau times the learned drift evaluated at the current
+    ``scheme="explicit"`` subtracts tau times the learned drift at the current
     cloud (the interaction term averages over the predicted population
-    itself).  Diffusion noise is off by default: predictions are deterministic
-    unless ``beta_noise`` is set, in which case counter-based noise scaled by
-    the learned beta is added.  Time-conditioned models read the potential at
-    the step's own time, ``(time_offset + k) / time_scale``.
+    itself); a time-conditioned potential is read at the step's own time,
+    ``(time_offset + k) / time_scale``.  Diffusion noise is off by default:
+    predictions are deterministic unless ``beta_noise`` is set, in which case
+    counter-based noise scaled by the learned beta is added.
+
+    ``scheme="implicit"`` solves the learned balance condition
+    x' = x - tau * grad_V(x', t') per particle, at the time stepped into,
+    t' = ``(time_offset + k + 1) / time_scale``.  Potential-only models, no noise.
     """
-    _check_steps(steps)
-    offset = initial.time_index if time_offset is None else time_offset
-    points = initial.points.copy()
-    frames = [points]
-    for k in range(steps):
-        time_value = None
-        if getattr(model, "time_conditioned", False):
-            if time_scale is None:
-                raise ValueError("time-conditioned model needs time_scale")
-            time_value = (offset + k) / time_scale
-        drift = model.grad_potential(points, time_value=time_value)
-        drift = drift + model.grad_interaction_mean(points, points, initial.weights)
-        new = points - tau * drift
-        beta = max(float(model.beta), 0.0)
-        if beta_noise and beta > 0:
-            noise = _step_rng(seed, offset + k).standard_normal(points.shape)
-            new = new + np.sqrt(2.0 * tau * beta) * noise
-        if not np.isfinite(new).all():
-            raise RuntimeError(f"non-finite state at rollout step {k + 1}")
-        points = new
-        frames.append(points)
-    snaps = [EmpiricalSnapshot(f, initial.weights, k) for k, f in enumerate(frames)]
-    return PopulationTrajectory(snaps, tau)
-
-
-def predict_implicit(
-    model,
-    initial: EmpiricalSnapshot,
-    steps: int,
-    tau: float,
-    time_offset: int | None = None,
-    time_scale: int | None = None,
-) -> PopulationTrajectory:
-    """Rollout where each step solves the learned balance condition
-    x' = x - tau * grad_V(x', t').  Potential-only models."""
-    if (
-        getattr(model, "interaction_net", None) is not None
-        or getattr(model, "interaction_map", None) is not None
-    ):
-        raise ValueError("implicit prediction supports potential-only models")
-    _check_steps(steps)
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
+    if scheme == "implicit":
+        if (
+            getattr(model, "interaction_net", None) is not None
+            or getattr(model, "interaction_map", None) is not None
+        ):
+            raise ValueError("implicit prediction supports potential-only models")
+        if beta_noise:
+            raise ValueError("beta_noise applies to explicit prediction only")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     offset = initial.time_index if time_offset is None else time_offset
     time_conditioned = getattr(model, "time_conditioned", False)
     if time_conditioned and time_scale is None:
         raise ValueError("time-conditioned model needs time_scale")
 
-    def grad_fn(x: np.ndarray, t: float | None) -> np.ndarray:
-        return model.grad_potential(x, time_value=t)
-
     points = initial.points.copy()
     frames = [points]
     for k in range(steps):
-        t_next = (offset + k + 1) / time_scale if time_conditioned else None
-        points = implicit_step(points, grad_fn, tau, t_next)
+        if scheme == "implicit":
+            t_next = (offset + k + 1) / time_scale if time_conditioned else None
+            new = implicit_step(points, model.grad_potential, tau, t_next)
+        else:
+            time_value = (offset + k) / time_scale if time_conditioned else None
+            drift = model.grad_potential(points, time_value=time_value)
+            drift = drift + model.grad_interaction_mean(points, points, initial.weights)
+            new = points - tau * drift
+            beta = max(float(model.beta), 0.0)
+            if beta_noise and beta > 0:
+                noise = _step_rng(seed, offset + k).standard_normal(points.shape)
+                new = new + np.sqrt(2.0 * tau * beta) * noise
+        if not np.isfinite(new).all():
+            raise RuntimeError(f"non-finite state at rollout step {k + 1}")
+        points = new
         frames.append(points)
     snaps = [EmpiricalSnapshot(f, initial.weights, k) for k, f in enumerate(frames)]
     return PopulationTrajectory(snaps, tau)
@@ -294,21 +275,14 @@ def evaluate(
     snapshot at t+1 is recorded.  Returns per-step distances plus their mean
     and population standard deviation.
     """
-    if scheme not in ("explicit", "implicit"):
-        raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
+    if test.n_steps < 1:
+        raise ValueError("evaluation needs at least two snapshots")
     per_step = []
     for t in range(test.n_steps):
-        snap = test.snapshots[t]
-        if scheme == "explicit":
-            rollout = predict_explicit(
-                model, snap, 1, test.tau,
-                beta_noise=beta_noise, seed=seed,
-                time_offset=t, time_scale=test.n_steps,
-            )
-        else:
-            rollout = predict_implicit(
-                model, snap, 1, test.tau, time_offset=t, time_scale=test.n_steps
-            )
+        rollout = predict(
+            model, test.snapshots[t], 1, test.tau, scheme,
+            beta_noise=beta_noise, seed=seed, time_offset=t, time_scale=test.n_steps,
+        )
         per_step.append(ot.emd(rollout.snapshots[1], test.snapshots[t + 1]))
     arr = np.asarray(per_step)
     return {

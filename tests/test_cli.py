@@ -24,7 +24,12 @@ import pytest
 import jkoflow
 from jkoflow import cli, experiments
 from jkoflow.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from jkoflow.measures import load_coupling, load_trajectory
+from jkoflow.measures import (
+    PopulationTrajectory,
+    load_coupling,
+    load_trajectory,
+    save_trajectory,
+)
 
 
 def run(*argv) -> int:
@@ -348,6 +353,67 @@ def test_beta_noise_requires_seed(flat_dataset, tmp_path):
         "--out", str(tmp_path / "p"),
     )
     assert code == EXIT_USAGE
+
+
+def test_implicit_scheme_rejects_beta_noise(flat_dataset, tmp_path):
+    model_path = tmp_path / "m.json"
+    run(
+        "train",
+        "--data", str(flat_dataset),
+        "--variant", "star_linear_potential",
+        "--seed", "1",
+        "--out", str(model_path),
+    )
+    report = tmp_path / "r.json"
+    code = run(
+        "evaluate",
+        "--data", str(flat_dataset),
+        "--model", str(model_path),
+        "--report", str(report),
+        "--scheme", "implicit",
+        "--beta-noise", "--seed", "1",
+    )
+    assert code == EXIT_USAGE
+    assert not report.exists()
+    out = tmp_path / "p"
+    code = run(
+        "predict",
+        "--data", str(flat_dataset),
+        "--model", str(model_path),
+        "--scheme", "implicit",
+        "--beta-noise", "--seed", "1",
+        "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_evaluate_rejects_a_test_set_without_transitions(flat_dataset, tmp_path):
+    model_path = tmp_path / "m.json"
+    run(
+        "train",
+        "--data", str(flat_dataset),
+        "--variant", "star_linear_potential",
+        "--seed", "1",
+        "--out", str(model_path),
+    )
+    test = load_trajectory(flat_dataset / "test")
+    single = tmp_path / "single"
+    save_trajectory(PopulationTrajectory(test.snapshots[:1], test.tau), single)
+    report = tmp_path / "r.json"
+    code = run(
+        "evaluate",
+        "--data", str(single),
+        "--model", str(model_path),
+        "--report", str(report),
+    )
+    assert code == EXIT_USAGE
+    assert not report.exists()
+
+
+def test_every_public_name_resolves_on_the_package():
+    missing = [name for name in jkoflow.__all__ if not hasattr(jkoflow, name)]
+    assert missing == []
 
 
 def test_help_lists_every_subcommand(capsys):

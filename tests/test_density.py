@@ -358,3 +358,7 @@ def test_wrong_point_dimension_rejected(rng):
     gmm = fit_gmm(rng.normal(size=(20, 2)), k=1, seed=0)
     with pytest.raises(ValueError, match="dim"):
         log_density(gmm, np.array([1.0, 2.0, 3.0]))
+    for bad in (np.ones((4, 3)), np.ones((2, 2, 2))):
+        for fn in (log_density, score):
+            with pytest.raises(ValueError, match=r"\(B, 2\) batch"):
+                fn(gmm, bad)

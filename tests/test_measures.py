@@ -16,7 +16,7 @@ from jkoflow import (
     split_train_test,
     uniform_snapshot,
 )
-from jkoflow.measures import check_coupling_marginals, coupling_path
+from jkoflow.measures import as_batch, check_coupling_marginals, coupling_path
 
 from conftest import random_trajectory
 
@@ -202,3 +202,16 @@ class TestSplitTrainTest:
         a2, b2 = split_train_test(traj, 0.5, seed=3)
         assert np.array_equal(a1.snapshots[0].points, a2.snapshots[0].points)
         assert np.array_equal(b1.snapshots[1].points, b2.snapshots[1].points)
+
+
+def test_as_batch_lifts_a_point_and_passes_a_batch_through():
+    xb, single = as_batch([1, 2], 2)
+    assert single and xb.shape == (1, 2) and xb.dtype == np.float64
+    batch = np.ones((5, 2))
+    xb, single = as_batch(batch, 2)
+    assert not single and xb is batch
+    with pytest.raises(ValueError, match="expected point of dim 2"):
+        as_batch(np.ones(3), 2)
+    for bad in (np.ones((5, 3)), np.ones((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"expected \(B, 2\) batch"):
+            as_batch(bad, 2)

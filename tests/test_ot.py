@@ -503,3 +503,10 @@ def test_trajectory_emd_length_mismatch(rng):
     b = _drifting_trajectory(rng, steps=4)
     with pytest.raises(ValueError, match="length"):
         trajectory_emd(a, b)
+
+
+def test_trajectory_emd_needs_a_transition(rng):
+    single = _drifting_trajectory(rng, steps=0)
+    assert single.n_snapshots == 1
+    with pytest.raises(ValueError, match="at least two snapshots"):
+        trajectory_emd(single, single)

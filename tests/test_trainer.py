@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from jkoflow import ot
-from jkoflow.datagen import GenConfig, _step_rng, generate
+from jkoflow.datagen import SCHEMES, GenConfig, _step_rng, generate
 from jkoflow.density import GaussianMixture, score
 from jkoflow.features import polynomial_map
 from jkoflow.functionals import EnergySpec, GroundTruthFunction
@@ -28,8 +28,7 @@ from jkoflow.trainer import (
     evaluate,
     fit,
     load_model,
-    predict_explicit,
-    predict_implicit,
+    predict,
     save_model,
 )
 
@@ -245,7 +244,7 @@ def test_predict_explicit_zero_models_are_identity():
     x = np.random.default_rng(2).normal(size=(6, 1))
     snap = uniform_snapshot(x, 0)
     zero_linear = LinearEnergyModel(potential_map=polynomial_map(1, 2))
-    roll = predict_explicit(zero_linear, snap, steps=5, tau=0.1)
+    roll = predict(zero_linear, snap, steps=5, tau=0.1)
     assert roll.n_snapshots == 6
     assert [s.time_index for s in roll.snapshots] == list(range(6))
     assert roll.tau == 0.1
@@ -254,14 +253,14 @@ def test_predict_explicit_zero_models_are_identity():
         np.testing.assert_array_equal(s.weights, snap.weights)
     zero_mlp = build_model(dim=1, seed=0, hidden=(4,))
     zero_mlp.potential_net.weights[-1][:] = 0.0
-    roll = predict_explicit(zero_mlp, snap, steps=2, tau=0.1)
+    roll = predict(zero_mlp, snap, steps=2, tau=0.1)
     np.testing.assert_array_equal(roll.snapshots[-1].points, x)
 
 
 def test_predict_explicit_quadratic_contracts_per_step():
     x = np.linspace(-1, 1, 7)[:, None]
     snap = uniform_snapshot(x, 0)
-    roll = predict_explicit(_quadratic_model(), snap, steps=3, tau=0.05)
+    roll = predict(_quadratic_model(), snap, steps=3, tau=0.05)
     for k, s in enumerate(roll.snapshots):
         np.testing.assert_allclose(s.points, (1 - 0.1) ** k * x, rtol=1e-13)
 
@@ -271,7 +270,7 @@ def test_predict_explicit_noise_matches_hand_formula():
     snap = uniform_snapshot(x, 0)
     beta = 0.3
     tau = 0.05
-    roll = predict_explicit(
+    roll = predict(
         _quadratic_model((beta,)), snap, steps=2, tau=tau, beta_noise=True, seed=7
     )
     state = x.copy()
@@ -280,14 +279,14 @@ def test_predict_explicit_noise_matches_hand_formula():
         state = (1 - 2 * tau) * state + np.sqrt(2 * tau * beta) * noise
         np.testing.assert_array_equal(roll.snapshots[k + 1].points, state)
     # noise off: deterministic rollout
-    quiet = predict_explicit(_quadratic_model((beta,)), snap, steps=2, tau=tau)
+    quiet = predict(_quadratic_model((beta,)), snap, steps=2, tau=tau)
     np.testing.assert_allclose(quiet.snapshots[-1].points, (1 - 2 * tau) ** 2 * x, rtol=1e-13)
 
 
 def test_predict_explicit_negative_beta_is_clamped_to_deterministic():
     x = np.ones((3, 1))
     snap = uniform_snapshot(x, 0)
-    roll = predict_explicit(
+    roll = predict(
         _quadratic_model((-0.5,)), snap, steps=1, tau=0.05, beta_noise=True, seed=1
     )
     np.testing.assert_allclose(roll.snapshots[1].points, 0.9 * x, rtol=1e-13)
@@ -299,33 +298,33 @@ def test_predict_explicit_reports_non_finite_state():
     )
     snap = uniform_snapshot(np.ones((2, 1)), 0)
     with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="non-finite state"):
-        predict_explicit(model, snap, steps=3, tau=0.1)
+        predict(model, snap, steps=3, tau=0.1)
 
 
 def test_predict_time_conditioned_requires_time_scale():
     model = build_model(dim=1, seed=0, time_conditioned=True, hidden=(4,))
     snap = uniform_snapshot(np.ones((2, 1)), 0)
     with pytest.raises(ValueError, match="time_scale"):
-        predict_explicit(model, snap, steps=1, tau=0.1)
+        predict(model, snap, steps=1, tau=0.1)
     with pytest.raises(ValueError, match="time_scale"):
-        predict_implicit(model, snap, steps=1, tau=0.1)
+        predict(model, snap, steps=1, tau=0.1, scheme="implicit")
 
 
 @pytest.mark.parametrize("steps", [0, -3])
 def test_predict_rejects_fewer_than_one_step(steps):
     snap = uniform_snapshot(np.array([[1.0], [2.0]]), 0)
-    for predict in (predict_explicit, predict_implicit):
+    for scheme in SCHEMES:
         with pytest.raises(ValueError, match="steps must be >= 1"):
-            predict(_quadratic_model(), snap, steps=steps, tau=0.1)
+            predict(_quadratic_model(), snap, steps=steps, tau=0.1, scheme=scheme)
 
 
 def test_predict_implicit_quadratic_and_identity():
     x = np.linspace(-1, 1, 6)[:, None]
     snap = uniform_snapshot(x, 0)
     flat = LinearEnergyModel(potential_map=polynomial_map(1, 2))
-    roll = predict_implicit(flat, snap, steps=2, tau=0.1)
+    roll = predict(flat, snap, steps=2, tau=0.1, scheme="implicit")
     np.testing.assert_array_equal(roll.snapshots[-1].points, x)
-    roll = predict_implicit(_quadratic_model(), snap, steps=3, tau=0.1)
+    roll = predict(_quadratic_model(), snap, steps=3, tau=0.1, scheme="implicit")
     for k, s in enumerate(roll.snapshots):
         np.testing.assert_allclose(s.points, x / 1.2**k, atol=1e-7)
 
@@ -334,12 +333,12 @@ def test_predict_implicit_rejects_interaction_models():
     snap = uniform_snapshot(np.ones((2, 1)), 0)
     mlp = build_model(dim=1, seed=0, with_interaction=True, hidden=(4,))
     with pytest.raises(ValueError, match="potential-only"):
-        predict_implicit(mlp, snap, steps=1, tau=0.1)
+        predict(mlp, snap, steps=1, tau=0.1, scheme="implicit")
     linear = LinearEnergyModel(
         potential_map=polynomial_map(1, 1), interaction_map=polynomial_map(1, 1)
     )
     with pytest.raises(ValueError, match="potential-only"):
-        predict_implicit(linear, snap, steps=1, tau=0.1)
+        predict(linear, snap, steps=1, tau=0.1, scheme="implicit")
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +374,21 @@ def test_evaluate_implicit_scheme_matches_implicit_data():
     traj = _implicit_quadratic(n=10, steps=3)
     report = evaluate(_quadratic_model(), traj, scheme="implicit")
     assert report["mean_emd"] < 1e-7
+
+
+def test_evaluate_rejects_a_single_snapshot():
+    single = _trajectory([np.linspace(-1, 1, 5)[:, None]], tau=0.1)
+    with pytest.raises(ValueError, match="at least two snapshots"):
+        evaluate(_quadratic_model(), single)
+
+
+def test_implicit_prediction_rejects_beta_noise():
+    traj = _implicit_quadratic(n=4)
+    model = _quadratic_model((0.3,))
+    with pytest.raises(ValueError, match="beta_noise"):
+        predict(model, traj.snapshots[0], 1, traj.tau, "implicit", beta_noise=True, seed=1)
+    with pytest.raises(ValueError, match="beta_noise"):
+        evaluate(model, traj, scheme="implicit", beta_noise=True, seed=1)
 
 
 def test_evaluate_rejects_unknown_scheme():
