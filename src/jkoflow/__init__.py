@@ -28,7 +28,6 @@ from .density import GaussianMixture, fit_gmm, log_density, score
 from .features import FeatureMap, build_default, grid_centers, polynomial_map
 from .datagen import (
     GenConfig,
-    explicit_step,
     generate,
     generate_time_varying_1d,
     implicit_step,
@@ -76,7 +75,6 @@ __all__ = [
     "couple_trajectory",
     "emd",
     "evaluate",
-    "explicit_step",
     "fit",
     "fit_gmm",
     "fit_linear",

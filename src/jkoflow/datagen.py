@@ -1,7 +1,8 @@
-"""Synthetic population data: particles driven by drift, pairwise interaction
-and diffusion.
+"""Rolling energies forward in time, and the synthetic data made that way.
 
-The forward (explicit) step is
+:func:`predict` is the one rollout.  It steps any energy: the true energies
+of an :class:`EnergySpec` (or the gated 1-D potential) when generating data,
+and a fitted model when predicting.  The forward (explicit) step is
     x' = x - tau * grad_V(x) - tau * mean_y grad_U(x - y) + sqrt(2 tau beta) * n,
 with the interaction averaged over the full current population, self included
 (the difference at zero follows the kink convention of the energy).  The
@@ -28,6 +29,9 @@ IMPLICIT_TOL = 1e-8
 IMPLICIT_MAX_ITERS = 200
 IMPLICIT_DAMPING = 0.5
 SCHEMES = ("explicit", "implicit")
+# where each kind of energy keeps its interaction term: MlpEnergyModel,
+# LinearEnergyModel, EnergySpec
+_INTERACTION_TERMS = ("interaction_net", "interaction_map", "interaction")
 
 GradFn = Callable[[np.ndarray, float | None], np.ndarray]
 
@@ -82,31 +86,6 @@ def interaction_gradient_mean(
     return pairwise_mean(fn.gradient, points, population, weights, points.shape[1])
 
 
-def explicit_step(
-    points: np.ndarray,
-    spec: EnergySpec,
-    tau: float,
-    noise: np.ndarray | None = None,
-) -> np.ndarray:
-    """One forward step of the whole population."""
-    drift = np.zeros_like(points)
-    if spec.potential is not None:
-        drift += spec.potential.gradient(points)
-    if spec.interaction is not None:
-        drift += interaction_gradient_mean(spec.interaction, points, points)
-    new = points - tau * drift
-    if spec.beta > 0:
-        if noise is None:
-            raise ValueError("beta > 0 requires a noise array")
-        new = new + np.sqrt(2.0 * tau * spec.beta) * noise
-    if not np.all(np.isfinite(new)):
-        raise FloatingPointError(
-            "explicit step produced non-finite positions; tau is too large for "
-            "this energy"
-        )
-    return new
-
-
 def implicit_step(
     points: np.ndarray,
     grad_fn: GradFn,
@@ -150,23 +129,88 @@ def implicit_step(
     )
 
 
-def _simulate(
-    seed: int, n_particles: int, dim: int, box: tuple[float, float], tau: float,
-    steps: int, step: Callable[[np.ndarray, int], np.ndarray],
-) -> tuple[PopulationTrajectory, PopulationTrajectory]:
-    """The generators' shared body: the initial draw, uniform in ``box``,
-    ``steps`` calls of ``step(points, t)``, and the train/test split."""
-    init_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
-    )
-    points = init_rng.uniform(*box, size=(n_particles, dim))
+def predict(
+    model,
+    initial: EmpiricalSnapshot,
+    steps: int,
+    tau: float,
+    scheme: str = "explicit",
+    beta_noise: bool = False,
+    seed: int = 0,
+    time_offset: int | None = None,
+    time_scale: int | None = None,
+) -> PopulationTrajectory:
+    """Roll an energy forward ``steps`` steps from ``initial``.
+
+    ``model`` is a fitted energy model or the true energies (an
+    :class:`EnergySpec` or :class:`GatedQuadratic`): anything with
+    ``grad_potential``, ``grad_interaction_mean``, ``time_conditioned`` and
+    ``beta``.
+
+    ``scheme="explicit"`` subtracts tau times the drift at the current cloud
+    (the interaction term averages over the predicted population itself); a
+    time-conditioned potential is read at the step's own time,
+    ``(time_offset + k) / time_scale``.  Diffusion noise is off by default:
+    rollouts are deterministic unless ``beta_noise`` is set, in which case
+    counter-based noise scaled by beta (a negative fitted beta counts as 0) is
+    added.  ``beta_noise`` on an energy whose beta is 0 raises.
+
+    ``scheme="implicit"`` solves the balance condition
+    x' = x - tau * grad_V(x', t') per particle, at the time stepped into,
+    t' = ``(time_offset + k + 1) / time_scale``.  Potential-only energies, no noise.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
+    if scheme == "implicit":
+        if any(getattr(model, term, None) is not None for term in _INTERACTION_TERMS):
+            raise ValueError("implicit prediction supports potential-only models")
+        if beta_noise:
+            raise ValueError("beta_noise applies to explicit prediction only")
+    if beta_noise and model.beta == 0:
+        raise ValueError("beta_noise needs an energy with a diffusion term (beta is 0)")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    offset = initial.time_index if time_offset is None else time_offset
+    time_conditioned = model.time_conditioned
+    if time_conditioned and time_scale is None:
+        raise ValueError("time-conditioned model needs time_scale")
+
+    points = initial.points.copy()
     frames = [points]
-    for t in range(steps):
-        points = step(points, t)
+    for k in range(steps):
+        if scheme == "implicit":
+            t_next = (offset + k + 1) / time_scale if time_conditioned else None
+            new = implicit_step(points, model.grad_potential, tau, t_next)
+        else:
+            time_value = (offset + k) / time_scale if time_conditioned else None
+            drift = model.grad_potential(points, time_value=time_value)
+            drift = drift + model.grad_interaction_mean(points, points, initial.weights)
+            new = points - tau * drift
+            beta = max(float(model.beta), 0.0)
+            if beta_noise and beta > 0:
+                noise = _step_rng(seed, offset + k).standard_normal(points.shape)
+                new = new + np.sqrt(2.0 * tau * beta) * noise
+        if not np.isfinite(new).all():
+            raise RuntimeError(f"non-finite state at rollout step {k + 1}")
+        points = new
         frames.append(points)
+    snaps = [EmpiricalSnapshot(f, initial.weights, k) for k, f in enumerate(frames)]
+    return PopulationTrajectory(snaps, tau)
+
+
+def _simulate(
+    energy, seed: int, n_particles: int, dim: int, box: tuple[float, float], tau: float,
+    steps: int, scheme: str, **rollout,
+) -> tuple[PopulationTrajectory, PopulationTrajectory]:
+    """The generators' shared body: the initial draw, uniform in ``box``, one
+    :func:`predict` of the true energies over the whole population, and the
+    train/test split (the first half of the particle axis, rounded up, is train)."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+    initial = uniform_snapshot(rng.uniform(*box, size=(n_particles, dim)), 0)
+    frames = predict(energy, initial, steps, tau, scheme, seed=seed, **rollout).snapshots
     n_train = (n_particles + 1) // 2
-    train = [uniform_snapshot(f[:n_train], t) for t, f in enumerate(frames)]
-    test = [uniform_snapshot(f[n_train:], t) for t, f in enumerate(frames)]
+    train = [uniform_snapshot(s.points[:n_train], s.time_index) for s in frames]
+    test = [uniform_snapshot(s.points[n_train:], s.time_index) for s in frames]
     return PopulationTrajectory(train, tau), PopulationTrajectory(test, tau)
 
 
@@ -177,18 +221,11 @@ def generate(cfg: GenConfig) -> tuple[PopulationTrajectory, PopulationTrajectory
     (the interaction term sees the full population); the first half of the
     particle axis becomes the train trajectory, the second half test.
     """
-
-    def step(points: np.ndarray, t: int) -> np.ndarray:
-        if cfg.scheme == "implicit":
-            potential = cfg.spec.potential
-            return implicit_step(points, lambda x, _t: potential.gradient(x), cfg.tau)
-        noise = None
-        if cfg.spec.beta > 0:
-            noise = _step_rng(cfg.seed, t).standard_normal(points.shape)
-        return explicit_step(points, cfg.spec, cfg.tau, noise)
-
     box = (cfg.init_low, cfg.init_high)
-    return _simulate(cfg.seed, cfg.n_particles, cfg.dim, box, cfg.tau, cfg.timesteps, step)
+    return _simulate(
+        cfg.spec, cfg.seed, cfg.n_particles, cfg.dim, box, cfg.tau, cfg.timesteps, cfg.scheme,
+        beta_noise=cfg.spec.beta > 0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +258,20 @@ def _in_window(t: float) -> bool:
     return any(lo - _WINDOW_TOL <= t <= hi + _WINDOW_TOL for lo, hi in _WINDOWS)
 
 
+class GatedQuadratic:
+    """The gated quadratic as an energy :func:`predict` rolls out: a
+    time-conditioned potential, with no interaction or diffusion term."""
+
+    time_conditioned = True
+    beta = 0.0
+
+    def grad_potential(self, x: np.ndarray, time_value: float | None = None) -> np.ndarray:
+        return gated_quadratic_grad(x, time_value)
+
+    def grad_interaction_mean(self, x, points, weights) -> np.ndarray:
+        return np.zeros_like(x)
+
+
 def generate_time_varying_1d(
     n_particles: int = 200,
     seed: int = 0,
@@ -232,10 +283,8 @@ def generate_time_varying_1d(
     Ten uniform steps of size 0.1; the step into time t' uses the potential
     at t'.  Returns (train, test) halves like :func:`generate`.
     """
-
-    def step(points: np.ndarray, k: int) -> np.ndarray:
-        t_next = (k + 1) / TIME_VARYING_STEPS
-        return implicit_step(points, gated_quadratic_grad, TIME_VARYING_TAU, t_next)
-
     box = (init_low, init_high)
-    return _simulate(seed, n_particles, 1, box, TIME_VARYING_TAU, TIME_VARYING_STEPS, step)
+    return _simulate(
+        GatedQuadratic(), seed, n_particles, 1, box, TIME_VARYING_TAU, TIME_VARYING_STEPS,
+        "implicit", time_scale=TIME_VARYING_STEPS,
+    )

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .measures import as_batch
+from .measures import as_batch, logsumexp
 
 VARIANCE_FLOOR = 1e-6
 COLLAPSE_WEIGHT = 1e-10
@@ -96,7 +95,7 @@ def score(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     xb, single = as_batch(x, gmm.dim)
     z = gmm._whiten(xb)
     log_comp = gmm._component_log_densities(z)
-    resp = np.exp(log_comp - logsumexp(log_comp, axis=1, keepdims=True))
+    resp = np.exp(log_comp - logsumexp(log_comp, axis=1)[:, None])
     out = -np.einsum("bk,kbi->bi", resp, z @ gmm._whiteners)
     return out[0] if single else out
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from .datagen import (
     GenConfig,
+    GatedQuadratic,
     TIME_VARYING_STEPS,
-    gated_quadratic_grad,
     generate,
     generate_time_varying_1d,
 )
@@ -280,20 +280,6 @@ def run_general(
 # time-varying: implicit vs explicit prediction under a gated 1-D potential
 
 
-class _GatedTruthModel:
-    """Ground-truth time-varying potential packaged like a fitted model."""
-
-    time_conditioned = True
-    interaction_net = None
-    beta = 0.0
-
-    def grad_potential(self, x: np.ndarray, time_value: float | None = None) -> np.ndarray:
-        return gated_quadratic_grad(x, time_value)
-
-    def grad_interaction_mean(self, x, points, weights=None) -> np.ndarray:
-        return np.zeros_like(x)
-
-
 def _max_deviation(predicted: PopulationTrajectory, truth: PopulationTrajectory) -> dict:
     """Per-particle max deviation across the rollout, aggregated."""
     per_particle = np.zeros(truth.snapshots[0].n_particles)
@@ -334,7 +320,7 @@ def run_time_varying(
     start = truth.snapshots[0]
 
     rows = []
-    for model_name, model in (("trained", result.model), ("ground_truth", _GatedTruthModel())):
+    for model_name, model in (("trained", result.model), ("ground_truth", GatedQuadratic())):
         for scheme in ("implicit", "explicit"):
             rollout = predict(model, start, steps, truth.tau, scheme, time_scale=steps)
             stats = _max_deviation(rollout, truth)

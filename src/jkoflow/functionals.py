@@ -332,11 +332,16 @@ class GroundTruthFunction:
 @dataclass(frozen=True)
 class EnergySpec:
     """Which energy terms drive a population: drift potential, pairwise
-    interaction (evaluated on particle differences), and diffusion strength."""
+    interaction (evaluated on particle differences), and diffusion strength.
+
+    A spec answers the members ``datagen.predict`` reads from a fitted model,
+    so the true energies roll out through the same step as learned ones."""
 
     potential: GroundTruthFunction | None = None
     interaction: GroundTruthFunction | None = None
     beta: float = 0.0
+
+    time_conditioned = False
 
     def __post_init__(self) -> None:
         if self.beta < 0:
@@ -355,3 +360,19 @@ class EnergySpec:
             if f is not None:
                 return f.dim
         return None
+
+    def grad_potential(self, x: np.ndarray, time_value: float | None = None) -> np.ndarray:
+        if self.potential is None:
+            return np.zeros_like(x)
+        return self.potential.gradient(x)
+
+    def grad_interaction_mean(
+        self, x: np.ndarray, points: np.ndarray, weights: np.ndarray
+    ) -> np.ndarray:
+        if self.interaction is None:
+            return np.zeros_like(x)
+        # datagen imports this module, and the benchmark tracer replaces the
+        # kernel on datagen, so it is looked up there at call time
+        from . import datagen
+
+        return datagen.interaction_gradient_mean(self.interaction, x, points, weights)

@@ -6,7 +6,8 @@ transport plans between consecutive snapshots.  Trajectories round-trip
 through a plain directory layout: ``metadata.json`` plus one CSV per snapshot
 (and optionally one CSV per coupling).  ``pairwise_mean`` averages a function
 of x - y over a population, in row blocks under one memory budget, and
-``as_batch`` is the point-or-batch input rule of the pointwise evaluators.
+``as_batch`` is the point-or-batch input rule of the pointwise evaluators;
+``logsumexp`` is the one log-sum-exp of the transport and density layers.
 """
 
 from __future__ import annotations
@@ -175,6 +176,16 @@ def as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"expected (B, {dim}) batch, got shape {x.shape}")
     return x, False
+
+
+def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis``, shifted by the slice maximum.  An all
+    -inf slice (zero weight) gives -inf, as scipy's ``logsumexp`` does; this
+    leaner form saves scipy's per-call overhead, which dominates small arrays."""
+    peak = x.max(axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - peak).sum(axis=axis)) + peak.squeeze(axis)
 
 
 def pair_chunks(

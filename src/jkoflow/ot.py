@@ -24,6 +24,7 @@ from .measures import (
     EmpiricalSnapshot,
     PopulationTrajectory,
     check_coupling_marginals,
+    logsumexp,
 )
 
 logger = logging.getLogger(__name__)
@@ -309,11 +310,11 @@ def solve_sinkhorn(
         log_b = np.log(b)
 
     def f_update(g: np.ndarray) -> np.ndarray:
-        return epsilon * (log_a - _logsumexp((g[None, :] - cost) / epsilon, axis=1))
+        return epsilon * (log_a - logsumexp((g[None, :] - cost) / epsilon, axis=1))
 
     f = f_update(np.zeros(cost.shape[1]))
     for iteration in range(max_iters):
-        g = epsilon * (log_b - _logsumexp((f[:, None] - cost) / epsilon, axis=0))
+        g = epsilon * (log_b - logsumexp((f[:, None] - cost) / epsilon, axis=0))
         if not np.all(np.isfinite(f[live])):
             raise FloatingPointError(
                 "Sinkhorn potentials overflowed; epsilon is too small for this "
@@ -339,16 +340,6 @@ def solve_sinkhorn(
     src, tgt = np.nonzero(plan > 0)
     masses = plan[src, tgt]
     return Coupling(st, tt, src, tgt, masses / masses.sum(), converged=converged)
-
-
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(x))) along ``axis``, shifted by the slice maximum.  An all
-    -inf slice (zero weight) gives -inf, as scipy's ``logsumexp`` does; this
-    leaner form saves scipy's per-call overhead, which dominates small solves."""
-    peak = x.max(axis=axis, keepdims=True)
-    peak[~np.isfinite(peak)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - peak).sum(axis=axis)) + peak.squeeze(axis)
 
 
 def _round_to_marginals(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Fitting energy models to observed trajectories, and rolling them forward.
+"""Fitting energy models to observed trajectories, and scoring their predictions.
 
 Variants:
     star                  potential net + interaction net + diffusion parameter
@@ -13,6 +13,10 @@ snapshot only when the diffusion term is active.  The network variants score
 the coupled end points and set their time inputs once too, so each batch of
 pairs is one loss call, whatever steps it mixes.  Fitting is deterministic:
 the same data, config and seed give bit-identical parameters.
+
+A fitted model rolls forward through ``datagen.predict``, the same rollout
+that generates data from the true energies; it is importable from here too.
+``evaluate`` scores one-step predictions against held-out snapshots.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import ot
-from .datagen import SCHEMES, _step_rng, implicit_step
+from .datagen import predict
 from .density import GaussianMixture, fit_gmm, score
 from .features import FeatureMap, build_default
 from .linear_solver import LinearEnergyModel, fit_linear
-from .measures import EmpiricalSnapshot, PopulationTrajectory
+from .measures import PopulationTrajectory
 from .nn import AdamState, MlpEnergyModel, adam_step, build_model, loss_and_param_gradient
 
 VARIANTS = (
@@ -194,71 +198,7 @@ def _fit_mlp(
 
 
 # ---------------------------------------------------------------------------
-# prediction and evaluation
-
-
-def predict(
-    model,
-    initial: EmpiricalSnapshot,
-    steps: int,
-    tau: float,
-    scheme: str = "explicit",
-    beta_noise: bool = False,
-    seed: int = 0,
-    time_offset: int | None = None,
-    time_scale: int | None = None,
-) -> PopulationTrajectory:
-    """Roll the learned energies forward ``steps`` steps from ``initial``.
-
-    ``scheme="explicit"`` subtracts tau times the learned drift at the current
-    cloud (the interaction term averages over the predicted population
-    itself); a time-conditioned potential is read at the step's own time,
-    ``(time_offset + k) / time_scale``.  Diffusion noise is off by default:
-    predictions are deterministic unless ``beta_noise`` is set, in which case
-    counter-based noise scaled by the learned beta is added.
-
-    ``scheme="implicit"`` solves the learned balance condition
-    x' = x - tau * grad_V(x', t') per particle, at the time stepped into,
-    t' = ``(time_offset + k + 1) / time_scale``.  Potential-only models, no noise.
-    """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
-    if scheme == "implicit":
-        if (
-            getattr(model, "interaction_net", None) is not None
-            or getattr(model, "interaction_map", None) is not None
-        ):
-            raise ValueError("implicit prediction supports potential-only models")
-        if beta_noise:
-            raise ValueError("beta_noise applies to explicit prediction only")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    offset = initial.time_index if time_offset is None else time_offset
-    time_conditioned = getattr(model, "time_conditioned", False)
-    if time_conditioned and time_scale is None:
-        raise ValueError("time-conditioned model needs time_scale")
-
-    points = initial.points.copy()
-    frames = [points]
-    for k in range(steps):
-        if scheme == "implicit":
-            t_next = (offset + k + 1) / time_scale if time_conditioned else None
-            new = implicit_step(points, model.grad_potential, tau, t_next)
-        else:
-            time_value = (offset + k) / time_scale if time_conditioned else None
-            drift = model.grad_potential(points, time_value=time_value)
-            drift = drift + model.grad_interaction_mean(points, points, initial.weights)
-            new = points - tau * drift
-            beta = max(float(model.beta), 0.0)
-            if beta_noise and beta > 0:
-                noise = _step_rng(seed, offset + k).standard_normal(points.shape)
-                new = new + np.sqrt(2.0 * tau * beta) * noise
-        if not np.isfinite(new).all():
-            raise RuntimeError(f"non-finite state at rollout step {k + 1}")
-        points = new
-        frames.append(points)
-    snaps = [EmpiricalSnapshot(f, initial.weights, k) for k, f in enumerate(frames)]
-    return PopulationTrajectory(snaps, tau)
+# evaluation
 
 
 def evaluate(

@@ -388,6 +388,38 @@ def test_implicit_scheme_rejects_beta_noise(flat_dataset, tmp_path):
     assert not out.exists()
 
 
+def test_beta_noise_rejects_a_model_without_diffusion(flat_dataset, tmp_path):
+    # star_linear_potential has no diffusion term, so the noise could not be drawn
+    model_path = tmp_path / "m.json"
+    run(
+        "train",
+        "--data", str(flat_dataset),
+        "--variant", "star_linear_potential",
+        "--seed", "1",
+        "--out", str(model_path),
+    )
+    report = tmp_path / "r.json"
+    code = run(
+        "evaluate",
+        "--data", str(flat_dataset),
+        "--model", str(model_path),
+        "--report", str(report),
+        "--beta-noise", "--seed", "5",
+    )
+    assert code == EXIT_USAGE
+    assert not report.exists()
+    out = tmp_path / "p"
+    code = run(
+        "predict",
+        "--data", str(flat_dataset),
+        "--model", str(model_path),
+        "--beta-noise", "--seed", "5",
+        "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_evaluate_rejects_a_test_set_without_transitions(flat_dataset, tmp_path):
     model_path = tmp_path / "m.json"
     run(

@@ -4,7 +4,8 @@ Every numeric target below is hand-derived from the step definitions:
     explicit:  x' = x - tau * grad_V(x) - tau * mean_y grad_U(x - y) + sqrt(2 tau b) n
     implicit:  x' = x - tau * grad_V(x', t')
 Linear gradients make both solvable in closed form, which pins the solvers
-to exact arithmetic instead of self-consistency.
+to exact arithmetic instead of self-consistency.  The explicit step of the
+true energies is taken through ``predict``, the rollout ``generate`` makes.
 """
 
 from __future__ import annotations
@@ -17,15 +18,16 @@ from jkoflow.datagen import (
     TIME_VARYING_STEPS,
     TIME_VARYING_TAU,
     _step_rng,
-    explicit_step,
     gated_quadratic_grad,
     gated_quadratic_value,
     generate,
     generate_time_varying_1d,
     implicit_step,
     interaction_gradient_mean,
+    predict,
 )
 from jkoflow.functionals import EnergySpec, GroundTruthFunction
+from jkoflow.measures import uniform_snapshot
 
 
 class _QuadraticPair:
@@ -51,13 +53,17 @@ def _sphere(dim: int) -> GroundTruthFunction:
 
 
 # ---------------------------------------------------------------------------
-# explicit step
+# explicit step of the true energies, through predict
+
+
+def _one_step(spec: EnergySpec, pts: np.ndarray, tau: float, **kwargs) -> np.ndarray:
+    return predict(spec, uniform_snapshot(pts, 0), 1, tau, **kwargs).snapshots[1].points
 
 
 def test_explicit_flat_no_diffusion_is_identity():
     spec = EnergySpec(potential=_flat(2))
     pts = np.array([[0.5, -1.0], [3.0, 2.0], [-4.0, 0.0]])
-    out = explicit_step(pts, spec, tau=0.05)
+    out = _one_step(spec, pts, tau=0.05)
     np.testing.assert_array_equal(out, pts)
 
 
@@ -65,7 +71,7 @@ def test_explicit_sphere_scales_by_1_2():
     # grad of -10|x|^2 is -20x, so x' = x + 20*0.01*x = 1.2 x
     spec = EnergySpec(potential=_sphere(2))
     pts = np.array([[1.0, -2.0], [0.25, 0.0], [-3.5, 3.5]])
-    out = explicit_step(pts, spec, tau=0.01)
+    out = _one_step(spec, pts, tau=0.01)
     np.testing.assert_allclose(out, 1.2 * pts, rtol=1e-14)
 
 
@@ -74,7 +80,7 @@ def test_explicit_pairwise_quadratic_two_particles():
     # tau 0.01 moves each by 0.02 toward the mean at zero
     spec = EnergySpec(interaction=_QuadraticPair())
     pts = np.array([[1.0], [-1.0]])
-    out = explicit_step(pts, spec, tau=0.01)
+    out = _one_step(spec, pts, tau=0.01)
     np.testing.assert_allclose(out, [[0.98], [-0.98]], rtol=1e-14)
 
 
@@ -83,30 +89,25 @@ def test_explicit_interaction_mean_includes_self_pair():
     # included) is -2, so x' = 0.2; excluding the self pair would give 0.3
     spec = EnergySpec(interaction=_QuadraticPair())
     pts = np.array([[0.0], [1.0], [2.0]])
-    out = explicit_step(pts, spec, tau=0.1)
+    out = _one_step(spec, pts, tau=0.1)
     np.testing.assert_allclose(out, [[0.2], [1.0], [1.8]], atol=1e-15)
 
 
 def test_explicit_diffusion_arithmetic():
-    # flat drift, beta 0.5, tau 0.02: x' = x + sqrt(2*0.02*0.5) * n
+    # flat drift, beta 0.5, tau 0.02: x' = x + sqrt(2*0.02*0.5) * n, with n
+    # the counter-based draw of step 0
     spec = EnergySpec(potential=_flat(1), beta=0.5)
     pts = np.array([[1.0], [-2.0]])
-    noise = np.array([[2.0], [-1.0]])
-    out = explicit_step(pts, spec, tau=0.02, noise=noise)
+    out = _one_step(spec, pts, tau=0.02, beta_noise=True, seed=4)
+    noise = _step_rng(4, 0).standard_normal(pts.shape)
     expected = pts + np.sqrt(0.02) * noise
     np.testing.assert_allclose(out, expected, rtol=1e-15)
 
 
-def test_explicit_diffusion_requires_noise():
-    spec = EnergySpec(potential=_flat(1), beta=0.5)
-    with pytest.raises(ValueError, match="noise"):
-        explicit_step(np.zeros((2, 1)), spec, tau=0.01)
-
-
 def test_explicit_rejects_non_finite_output():
     spec = EnergySpec(potential=_sphere(1))
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-        explicit_step(np.array([[1e308]]), spec, tau=1.0)
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="non-finite state"):
+        _one_step(spec, np.array([[1e308]]), tau=1.0)
 
 
 def test_interaction_gradient_mean_weighted():
@@ -201,8 +202,8 @@ def test_explicit_implicit_gap_shrinks_like_tau_squared():
     pts = np.array([[1.0]])
     gaps = []
     for tau in (1e-2, 1e-3):
-        ex = explicit_step(pts, spec, tau)
-        im = implicit_step(pts, lambda x, t: spec.potential.gradient(x), tau)
+        ex = _one_step(spec, pts, tau)
+        im = _one_step(spec, pts, tau, scheme="implicit")
         gaps.append(abs(ex[0, 0] - im[0, 0]))
     ratio = gaps[0] / gaps[1]
     assert ratio == pytest.approx(122.5, rel=1e-3)

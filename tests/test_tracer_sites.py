@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` replaces jkoflow functions at the names their
 callers look them up by, at call time.  A kernel that reached its per-block
 pass through another name would leave those spans empty without failing
-anything, so this checks both interaction means on a few points, and the
-loss calls of a small network fit.
+anything, so this checks both interaction means on a few points, the true
+interaction mean of a small generation, and the loss calls of a small
+network fit.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from jkoflow import ot
+from jkoflow import datagen, ot
+from jkoflow.datagen import GenConfig
 from jkoflow.features import polynomial_map
+from jkoflow.functionals import EnergySpec, GroundTruthFunction
 from jkoflow.linear_solver import LinearEnergyModel
 from jkoflow.measures import PopulationTrajectory, uniform_snapshot
 from jkoflow.nn import build_model
@@ -43,6 +46,24 @@ def test_tracer_sees_the_per_block_passes_of_both_pair_kernels(monkeypatch):
         ("linear_solver.grad_interaction_mean", -1),
         ("features.jacobian_features", 2),
     ]
+
+
+def test_generation_makes_one_interaction_mean_per_step(monkeypatch):
+    # the true interaction reaches its pairwise mean through datagen's name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    sphere = GroundTruthFunction("sphere", 2)
+    cfg = GenConfig(
+        EnergySpec(potential=sphere, interaction=sphere, beta=0.1),
+        n_particles=12, timesteps=3, seed=1,
+    )
+    with tracing.Tracer() as tracer:
+        datagen.generate(cfg)
+    spans = [(span.name, span.parent, span.stats) for span in tracer.spans]
+    assert spans == [("datagen.generate", -1, {})] + [
+        ("datagen.interaction_gradient_mean", 0, {"rows": 12 * 12})
+    ] * cfg.timesteps
 
 
 def test_network_fit_makes_one_loss_call_per_batch(monkeypatch):

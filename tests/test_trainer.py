@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from jkoflow import ot
-from jkoflow.datagen import SCHEMES, GenConfig, _step_rng, generate
+from jkoflow.datagen import SCHEMES, GatedQuadratic, GenConfig, _step_rng, generate
 from jkoflow.density import GaussianMixture, score
 from jkoflow.features import polynomial_map
 from jkoflow.functionals import EnergySpec, GroundTruthFunction
@@ -308,6 +308,9 @@ def test_predict_time_conditioned_requires_time_scale():
         predict(model, snap, steps=1, tau=0.1)
     with pytest.raises(ValueError, match="time_scale"):
         predict(model, snap, steps=1, tau=0.1, scheme="implicit")
+    for scheme in SCHEMES:
+        with pytest.raises(ValueError, match="time_scale"):
+            predict(GatedQuadratic(), snap, steps=1, tau=0.1, scheme=scheme)
 
 
 @pytest.mark.parametrize("steps", [0, -3])
@@ -339,6 +342,10 @@ def test_predict_implicit_rejects_interaction_models():
     )
     with pytest.raises(ValueError, match="potential-only"):
         predict(linear, snap, steps=1, tau=0.1, scheme="implicit")
+    sphere = GroundTruthFunction("sphere", 1)
+    spec = EnergySpec(potential=sphere, interaction=sphere)
+    with pytest.raises(ValueError, match="potential-only"):
+        predict(spec, snap, steps=1, tau=0.1, scheme="implicit")
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +396,22 @@ def test_implicit_prediction_rejects_beta_noise():
         predict(model, traj.snapshots[0], 1, traj.tau, "implicit", beta_noise=True, seed=1)
     with pytest.raises(ValueError, match="beta_noise"):
         evaluate(model, traj, scheme="implicit", beta_noise=True, seed=1)
+
+
+def test_beta_noise_rejects_an_energy_without_diffusion():
+    # each kind of energy without a diffusion term would roll out
+    # deterministically, which beta_noise=True would hide
+    traj = _trajectory([np.linspace(-1, 1, 4)[:, None]] * 2, tau=0.1)
+    energies = [
+        build_model(dim=1, seed=0, hidden=(4,)),
+        _quadratic_model(),
+        EnergySpec(potential=GroundTruthFunction("sphere", 1)),
+    ]
+    for energy in energies:
+        with pytest.raises(ValueError, match="diffusion term"):
+            predict(energy, traj.snapshots[0], 1, traj.tau, beta_noise=True, seed=1)
+        with pytest.raises(ValueError, match="diffusion term"):
+            evaluate(energy, traj, beta_noise=True, seed=1)
 
 
 def test_evaluate_rejects_unknown_scheme():
