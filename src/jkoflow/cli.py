@@ -180,6 +180,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_file_value(key: str, value, kwargs: dict) -> None:
+    """A config-file value must have the JSON type its flag parses to."""
+    if kwargs.get("action") is _BOOL:
+        ok, kind = isinstance(value, bool), "true or false"
+    elif kwargs.get("type") is int:
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif kwargs.get("type") is float:
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise _UsageError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise _UsageError(
+            f"config key {key!r} must be one of {list(kwargs['choices'])}, got {json.dumps(value)}"
+        )
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
     resolved = {key: default for key, (default, _) in _FLAGS[command].items()}
@@ -194,7 +212,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         unknown = set(file_cfg) - set(resolved)
         if unknown:
             raise _UsageError(f"config keys not recognized for {command}: {sorted(unknown)}")
-        resolved.update(file_cfg)
+        for key, value in file_cfg.items():
+            # null leaves the key unset, as an absent flag does
+            if value is not None:
+                _check_file_value(key, value, _FLAGS[command][key][1])
+                resolved[key] = value
     for key in resolved:
         value = getattr(args, key, None)
         if value is not None:
@@ -302,7 +324,7 @@ def _cmd_couple(cfg: dict) -> int:
 def _train_config(cfg: dict, dim: int) -> trainer.TrainConfig:
     hidden = tuple(int(w) for w in str(cfg["hidden"]).split(",") if w.strip())
     features = None
-    if cfg.get("poly_degree"):
+    if cfg["poly_degree"] is not None:
         features = polynomial_map(dim, int(cfg["poly_degree"]))
     return trainer.TrainConfig(
         variant=cfg["variant"],

@@ -237,15 +237,8 @@ _WINDOWS = ((0.2, 0.3), (0.7, 0.8))
 _WINDOW_TOL = 1e-9
 
 
-def gated_quadratic_value(x: np.ndarray, t: float) -> np.ndarray:
-    """Repulsive quadratic -0.75 x^2 that switches off inside two time windows."""
-    x = np.asarray(x, dtype=np.float64)
-    if _in_window(t):
-        return np.zeros(x.shape[0])
-    return -0.75 * (x**2).sum(axis=1)
-
-
 def gated_quadratic_grad(x: np.ndarray, t: float | None) -> np.ndarray:
+    """Gradient of the repulsive quadratic -0.75 x^2; zero inside two time windows."""
     x = np.asarray(x, dtype=np.float64)
     if t is None:
         raise ValueError("time-varying potential needs a time argument")

@@ -49,10 +49,6 @@ class GaussianMixture:
         self._log_norms = -0.5 * (self.dim * _LOG_2PI + log_det)
 
     @property
-    def n_components(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.means.shape[1]
 
@@ -65,21 +61,6 @@ class GaussianMixture:
         with np.errstate(divide="ignore"):
             log_w = np.log(self.weights)
         return (log_w + self._log_norms)[None, :] - 0.5 * np.einsum("kbi,kbi->bk", z, z)
-
-    def to_json(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "covariances": self.covariances.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GaussianMixture":
-        return cls(
-            np.asarray(data["weights"]),
-            np.asarray(data["means"]),
-            np.asarray(data["covariances"]),
-        )
 
 
 def log_density(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray | float:

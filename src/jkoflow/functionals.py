@@ -16,24 +16,6 @@ import numpy as np
 
 from .measures import as_batch
 
-KINDS = (
-    "styblinski_tang",
-    "holder_table",
-    "flowers",
-    "oakley_ohagan",
-    "watershed",
-    "ishigami",
-    "friedman",
-    "sphere",
-    "bohachevsky",
-    "wavy_plateau",
-    "zigzag_ridge",
-    "double_exp",
-    "relu",
-    "rotational",
-    "flat",
-)
-
 # functions whose formula averages the first/second halves of the coordinates
 _NEEDS_HALF_SPLIT = {"holder_table", "ishigami", "friedman", "bohachevsky", "rotational"}
 
@@ -55,11 +37,6 @@ def _spread_half_gradient(
     g[:, :h] = df_dz1[:, None] / h
     g[:, h:] = df_dz2[:, None] / (d - h)
     return g
-
-
-def _sign0(a: np.ndarray) -> np.ndarray:
-    """sign with sign(0) = 0, the subgradient convention used throughout."""
-    return np.sign(a)
 
 
 # --- per-kind batched (B, d) implementations -------------------------------
@@ -105,7 +82,7 @@ def _flowers_grad(x):
     a = np.abs(x)
     # d/dv |v|^1.2 = 1.2 |v|^0.2 sign(v), taken as 0 at v = 0
     with np.errstate(invalid="ignore"):
-        inner = 1.2 * a**0.2 * _sign0(x)
+        inner = 1.2 * a**0.2 * np.sign(x)
     inner = np.where(a == 0, 0.0, inner)
     return 1.0 + 2.0 * np.cos(a**1.2) * inner
 
@@ -192,13 +169,13 @@ def _holder_table_grad(x):
     r = np.sqrt((x**2).sum(axis=1))
     inner = np.sin(z1) * np.cos(z2)
     envelope = np.exp(np.abs(1.0 - r / np.pi))
-    df_dz1 = 10.0 * _sign0(inner) * np.cos(z1) * np.cos(z2) * envelope
-    df_dz2 = -10.0 * _sign0(inner) * np.sin(z1) * np.sin(z2) * envelope
+    df_dz1 = 10.0 * np.sign(inner) * np.cos(z1) * np.cos(z2) * envelope
+    df_dz2 = -10.0 * np.sign(inner) * np.sin(z1) * np.sin(z2) * envelope
     g = _spread_half_gradient(x, df_dz1, df_dz2)
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = x / r[:, None]
     unit = np.where(r[:, None] == 0, 0.0, unit)
-    radial = 10.0 * np.abs(inner) * envelope * _sign0(1.0 - r / np.pi) * (-1.0 / np.pi)
+    radial = 10.0 * np.abs(inner) * envelope * np.sign(1.0 - r / np.pi) * (-1.0 / np.pi)
     return g + radial[:, None] * unit
 
 
@@ -301,6 +278,7 @@ _REGISTRY = {
     "rotational": (_rotational, _rotational_grad),
     "flat": (_flat, _flat_grad),
 }
+KINDS = tuple(_REGISTRY)
 
 
 @dataclass(frozen=True)

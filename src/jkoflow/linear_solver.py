@@ -19,14 +19,14 @@ deleted before inversion and zeros re-inserted afterwards).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .density import GaussianMixture, score
-from .features import FeatureMap, eval_features, jacobian_features
+from .features import FeatureMap, jacobian_features
 from .measures import Coupling, EmpiricalSnapshot, PopulationTrajectory, pairwise_mean
 
 logger = logging.getLogger(__name__)
@@ -117,11 +117,6 @@ class LinearEnergyModel:
         jac = partial(jacobian_features, fm)
         rows = pairwise_mean(jac, x, points, weights, fm.n_features * fm.dim)
         return np.einsum("nad,a->nd", rows, self.theta_blocks()[1])
-
-    def potential_value(self, x: np.ndarray) -> np.ndarray:
-        if self.potential_map is None:
-            return np.zeros(np.atleast_2d(x).shape[0])
-        return eval_features(self.potential_map, np.atleast_2d(x)) @ self.theta_blocks()[0]
 
     def to_json(self) -> dict:
         def dump_map(fm: FeatureMap | None) -> dict | None:
@@ -294,13 +289,7 @@ def fit_linear(
     """Accumulate, solve, and return (fitted model, residual loss value)."""
     stat = accumulate(model, trajectory, couplings, gmms)
     theta = solve(stat, model.ridge_lambda)
-    fitted = LinearEnergyModel(
-        potential_map=model.potential_map,
-        interaction_map=model.interaction_map,
-        use_internal=model.use_internal,
-        theta=theta,
-        ridge_lambda=model.ridge_lambda,
-    )
+    fitted = replace(model, theta=theta)
     if fitted.use_internal and fitted.beta < -NEGATIVE_BETA_TOL:
         logger.warning(
             "fitted diffusion coefficient is negative (%.3e); "

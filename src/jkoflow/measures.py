@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -24,8 +23,6 @@ import numpy as np
 WEIGHT_ATOL = 1e-9
 COUPLING_ATOL = 1e-8
 PAIR_BUDGET = 8_000_000  # float64 entries in the widest per-pair array of one pair block
-
-_SNAPSHOT_RE = re.compile(r"snapshot_(\d{5})\.csv$")
 
 
 @dataclass
@@ -328,10 +325,8 @@ def load_trajectory(directory: Path | str) -> PopulationTrajectory:
 
 def save_coupling(coupling: Coupling, directory: Path | str) -> None:
     path = coupling_path(directory, coupling.source_time, coupling.target_time)
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,mass\n")
-        for i, j, m in zip(coupling.source_indices, coupling.target_indices, coupling.masses):
-            fh.write(f"{i:d},{j:d},{m:.17g}\n")
+    rows = np.column_stack([coupling.source_indices, coupling.target_indices, coupling.masses])
+    _write_csv(path, ["i", "j", "mass"], rows)
 
 
 def load_coupling(directory: Path | str, source_time: int, target_time: int) -> Coupling:

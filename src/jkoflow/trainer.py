@@ -83,6 +83,12 @@ class TrainConfig:
             raise ValueError("hidden widths must be >= 1")
         if self.interaction_subsample < 0:
             raise ValueError("interaction_subsample must be >= 0")
+        has_features = self.potential_features is not None or self.interaction_features is not None
+        if has_features and self.variant not in _LINEAR_VARIANTS:
+            raise ValueError(
+                f"feature maps apply only to the linear variants {_LINEAR_VARIANTS}, "
+                f"not {self.variant!r}"
+            )
 
 
 @dataclass

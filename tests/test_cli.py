@@ -30,6 +30,7 @@ from jkoflow.measures import (
     load_trajectory,
     save_trajectory,
 )
+from jkoflow.trainer import TrainConfig
 
 
 def run(*argv) -> int:
@@ -546,14 +547,29 @@ def test_config_file_overrides_defaults_and_flags_override_config(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [None, json.dumps({"bogus_key": 1}), json.dumps([1, 2, 3])],
-    ids=["missing-file", "unknown-key", "not-an-object"],
+    "content, message",
+    [
+        (None, "config file not found"),
+        ({"bogus_key": 1}, "not recognized"),
+        ([1, 2, 3], "JSON object"),
+        ({"steps": 1.7}, "'steps' must be an integer, got 1.7"),
+        ({"steps": True}, "'steps' must be an integer, got true"),
+        ({"dim": [2]}, "'dim' must be an integer"),
+        ({"tau": "0.01"}, "'tau' must be a number"),
+        ({"tau": False}, "'tau' must be a number"),
+        ({"interaction": 7}, "'interaction' must be a string"),
+        ({"scheme": "Explicit"}, "'scheme' must be one of"),
+    ],
+    ids=[
+        "missing-file", "unknown-key", "not-an-object", "float-for-int", "bool-for-int",
+        "list-for-int", "string-for-float", "bool-for-float", "number-for-string",
+        "not-a-choice",
+    ],
 )
-def test_bad_config_files_exit_one(tmp_path, content):
+def test_bad_config_files_exit_one(tmp_path, content, message, capsys):
     cfg_path = tmp_path / "cfg.json"
     if content is not None:
-        cfg_path.write_text(content)
+        cfg_path.write_text(json.dumps(content))
     code = run(
         "generate",
         "--config", str(cfg_path),
@@ -562,6 +578,47 @@ def test_bad_config_files_exit_one(tmp_path, content):
         "--out", str(tmp_path / "d"),
     )
     assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_train_config_file_values_follow_the_flag_types(flat_dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    model_path = tmp_path / "m.json"
+    argv = ["train", "--config", str(cfg_path), "--data", str(flat_dataset),
+            "--seed", "1", "--out", str(model_path)]
+    for content, message in [
+        ({"pin_internal": "false"}, "'pin_internal' must be true or false"),
+        ({"epochs": 1.7}, "'epochs' must be an integer"),
+        ({"hidden": [8, 8]}, "'hidden' must be a string"),
+    ]:
+        cfg_path.write_text(json.dumps(content))
+        assert run(*argv) == EXIT_USAGE, content
+        assert message in capsys.readouterr().err
+        assert not model_path.exists()
+    # null leaves a key at its default, as an absent flag does
+    cfg_path.write_text(json.dumps({"variant": "star_linear_potential", "epochs": None}))
+    assert run(*argv) == EXIT_OK
+    with open(tmp_path / "train_config.json") as fh:
+        assert json.load(fh)["epochs"] == TrainConfig.epochs
+
+
+@pytest.mark.parametrize(
+    "variant, degree, message",
+    [("star_potential", "3", "linear variants"), ("star_linear_potential", "0", "empty")],
+)
+def test_poly_degree_is_never_ignored(flat_dataset, tmp_path, variant, degree, message, caplog):
+    model_path = tmp_path / "m.json"
+    code = run(
+        "train",
+        "--data", str(flat_dataset),
+        "--variant", variant,
+        "--poly-degree", degree,
+        "--seed", "1",
+        "--out", str(model_path),
+    )
+    assert code == EXIT_USAGE
+    assert message in caplog.text
+    assert not model_path.exists()
 
 
 def test_resolved_config_is_echoed_into_output_dirs(flat_dataset, tmp_path):

@@ -19,7 +19,6 @@ from jkoflow.datagen import (
     TIME_VARYING_TAU,
     _step_rng,
     gated_quadratic_grad,
-    gated_quadratic_value,
     generate,
     generate_time_varying_1d,
     implicit_step,
@@ -333,8 +332,8 @@ def test_step_rng_is_keyed_by_seed_and_step():
 
 def test_gated_quadratic_value_and_window_edges():
     x = np.array([[2.0], [-1.0]])
-    np.testing.assert_array_equal(gated_quadratic_value(x, 0.25), [0.0, 0.0])
-    np.testing.assert_allclose(gated_quadratic_value(x, 0.5), [-3.0, -0.75])
+    np.testing.assert_array_equal(gated_quadratic_grad(x, 0.25), [[0.0], [0.0]])
+    np.testing.assert_allclose(gated_quadratic_grad(x, 0.5), [[-3.0], [1.5]])
     # window edges carry a small tolerance for float time grids
     assert gated_quadratic_grad(x, 0.3 + 5e-10)[0, 0] == 0.0
     assert gated_quadratic_grad(x, 0.31)[0, 0] == pytest.approx(-3.0)

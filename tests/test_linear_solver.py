@@ -389,9 +389,6 @@ def test_model_gradients_match_feature_jacobians():
     model = LinearEnergyModel(potential_map=fm, theta=np.array([0.0, 1.0]))
     x = np.array([[3.0], [-1.0]])
     np.testing.assert_allclose(model.grad_potential(x), 2.0 * x, rtol=1e-14)
-    np.testing.assert_allclose(
-        model.potential_value(x), (x**2)[:, 0], rtol=1e-14
-    )
     inter = LinearEnergyModel(interaction_map=fm, theta=np.array([0.0, 1.0]))
     pop = np.array([[0.0], [2.0]])
     w = np.array([0.5, 0.5])

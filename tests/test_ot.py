@@ -114,6 +114,29 @@ def test_general_instances_match_linprog(rng):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12), f"trial {trial}"
 
 
+@pytest.mark.parametrize(
+    "n, m, uniform",
+    [(60, 90, True), (90, 61, True), (84, 90, True), (73, 77, True), (79, 66, False)],
+)
+def test_benchmark_size_instances_match_linprog(n, m, uniform):
+    # the ragged_exact benchmark's counts: uniform ragged instances are
+    # degenerate and take hundreds of pivots
+    rng = np.random.default_rng(n * m)
+    xa = rng.normal(size=(n, 2))
+    xb = rng.normal(size=(m, 2))
+    if uniform:
+        mu, nu = uniform_snapshot(xa, 0), uniform_snapshot(xb, 1)
+    else:
+        mu = EmpiricalSnapshot(xa, random_weights(rng, n), 0)
+        nu = EmpiricalSnapshot(xb, random_weights(rng, m), 1)
+    plan = solve_exact(mu, nu)
+    want = linprog_oracle(mu.weights, nu.weights, cost_matrix(xa, xb))
+    assert transport_cost(plan, mu, nu) == pytest.approx(want, rel=1e-9)
+    np.testing.assert_allclose(plan.source_marginal(n), mu.weights, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(plan.target_marginal(m), nu.weights, rtol=0, atol=1e-15)
+    assert len(plan.masses) <= n + m - 1
+
+
 def test_simplex_route_agrees_with_assignment_on_uniform(rng):
     # call the simplex directly: the public path would shortcut to assignment
     xa = rng.normal(size=(7, 2))

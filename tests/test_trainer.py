@@ -71,6 +71,7 @@ def _quadratic_model(extra: tuple[float, ...] = ()) -> LinearEnergyModel:
         (dict(ridge_lambda=-0.1), "ridge_lambda"),
         (dict(interaction_subsample=-3), "interaction_subsample"),
         (dict(hidden=(0,)), "hidden"),
+        (dict(potential_features=polynomial_map(1, 2)), "linear variants"),
     ],
 )
 def test_train_config_rejects_bad_values(kwargs, message):
