@@ -53,14 +53,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("JKO_FLOW_JOBS")
-    if env:
+def _jobs(given: int | None) -> int:
+    """The worker count: ``given``, else ``JKO_FLOW_JOBS``, else the CPU count."""
+    if given is None:
+        env = os.environ.get("JKO_FLOW_JOBS")
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            given = int(env)
         except ValueError as exc:
             raise _UsageError(f"JKO_FLOW_JOBS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    if given < 1:
+        raise _UsageError("jobs must be >= 1")
+    return given
 
 
 def _flag(default=None, **kwargs) -> tuple:
@@ -306,7 +311,7 @@ _OT_KEYS = {
 
 def _ot_config(cfg: dict) -> ot.OtConfig:
     given = {f: convert(cfg[k]) for k, (f, convert) in _OT_KEYS.items() if cfg.get(k) is not None}
-    return ot.OtConfig(**given, jobs=int(cfg.get("jobs") or _default_jobs()))
+    return ot.OtConfig(**given, jobs=_jobs(cfg.get("jobs")))
 
 
 def _cmd_couple(cfg: dict) -> int:
@@ -439,7 +444,7 @@ def _cmd_experiment(cfg: dict) -> int:
                 raise _UsageError(f"study {cfg['name']} does not take --{key}")
             kwargs[key] = convert(cfg[key])
     if "jobs" in takes:
-        kwargs["jobs"] = kwargs.get("jobs") or _default_jobs()
+        kwargs["jobs"] = _jobs(kwargs.get("jobs"))
     runner(**kwargs)
     _echo_config(cfg, "experiment", Path(cfg["out"]))
     return EXIT_OK

@@ -8,6 +8,22 @@ with a fixed, documented seed so every run sees the same basis.
 
 Feature order: monomials degree-major (all coordinates to power 1, then power
 2, ...), then cross terms x_i * x_j for i < j, then bumps in center order.
+
+``jacobian_features`` also gives the weighted pair mean
+sum_j w_j dphi(x_i - y_j) over a population, without a (pairs, features, d)
+array.  Monomials average p (x - y)^(p-1) over (pairs, d) differences; cross
+terms are exact, W x_i - sum_j w_j y_j with W = sum_j w_j.  For a bump
+phi_c(z) = exp(-|z - c|^2 / sigma), put u_ic = x_i - c; then
+
+    sum_j w_j dphi_c(x_i - y_j) = (-2 / sigma) [(K w)_ic u_ic - (K (w y))_ic],
+    K_ic,j = exp(-|u_ic - y_j|^2 / sigma),
+
+so one (rows * C, M) kernel block times the (M, 1 + d) matrix [w, w y] gives
+every bump of a row block.  The squared distances are expanded as
+|u|^2 + |y|^2 - 2 u.y about the population's mean, which costs about
+eps * R^2 / sigma of relative precision for points R from that mean.  Row
+blocks follow ``measures.pair_chunks`` at max(C, d) entries a pair, so the
+kernel block stays within ``measures.PAIR_BUDGET``.
 """
 
 from __future__ import annotations
@@ -17,7 +33,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .measures import as_batch
+from .measures import as_batch, pair_chunks
 
 DEFAULT_POLY_DEGREE = 4
 DEFAULT_RBF_SIGMA = 0.5
@@ -81,27 +97,58 @@ def eval_features(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def jacobian_features(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """Feature Jacobian, shape (n_features, dim) for a point or (B, n, dim)."""
+def jacobian_features(
+    fm: FeatureMap,
+    x: np.ndarray,
+    points: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Feature Jacobian, shape (n_features, dim) for a point or (B, n, dim).
+
+    Given a population (``points`` (M, dim) with ``weights`` (M,)), each row is
+    the weighted pair mean sum_j weights_j dphi(x_i - y_j) instead; without
+    one it is the Jacobian at x, the mean against a unit mass at 0.
+    """
     xb, single = as_batch(x, fm.dim)
-    b, d = xb.shape
-    parts = []
-    eye = np.eye(d)
-    for p in range(1, fm.poly_degree + 1):
-        # d/dx_j x_i^p = p x_i^{p-1} [i == j]
-        parts.append(p * xb[:, :, None] ** (p - 1) * eye[None, :, :] if p > 1
-                     else np.broadcast_to(eye, (b, d, d)).copy())
+    if points is None:
+        points, weights = np.zeros((1, fm.dim)), np.ones(1)
+    d = fm.dim
+    out = np.zeros((xb.shape[0], fm.n_features, d))
+    coords = np.arange(d)
+    total = weights.sum()
     if fm.poly_cross:
-        cross = np.zeros((b, len(fm._cross_pairs), d))
-        for k, (i, j) in enumerate(fm._cross_pairs):
-            cross[:, k, i] = xb[:, j]
-            cross[:, k, j] = xb[:, i]
-        parts.append(cross)
+        ybar = weights @ points
+        for k, (i, j) in enumerate(fm._cross_pairs, start=d * fm.poly_degree):
+            out[:, k, i] = total * xb[:, j] - ybar[j]
+            out[:, k, j] = total * xb[:, i] - ybar[i]
     if fm.rbf_centers is not None:
-        diff = xb[:, None, :] - fm.rbf_centers[None, :, :]
-        vals = np.exp(-(diff**2).sum(axis=2) / fm.rbf_sigma)
-        parts.append(vals[:, :, None] * (-2.0 / fm.rbf_sigma) * diff)
-    out = np.concatenate(parts, axis=1)
+        n_bumps = fm.rbf_centers.shape[0]
+        shift = points.mean(axis=0)
+        yc = points - shift
+        weighted = np.column_stack([weights, weights[:, None] * yc])
+        yy = (yc**2).sum(axis=1)
+        scale = -2.0 / fm.rbf_sigma
+        first_bump = fm.n_features - n_bumps
+    else:
+        n_bumps = 0
+    for block, diff in pair_chunks(xb, points, max(n_bumps, d)):
+        pairs = diff.reshape(-1, points.shape[0], d)
+        for p in range(1, fm.poly_degree + 1):
+            # d/dz_k z_k^p = p z_k^{p-1}, averaged over the pairs of each row
+            mean = total if p == 1 else p * (weights @ pairs ** (p - 1))
+            out[block, (p - 1) * d + coords, coords] = mean
+        if n_bumps:
+            u = (xb[block] - shift)[:, None, :] - fm.rbf_centers[None, :, :]
+            uu = (u**2).sum(axis=2).reshape(-1)
+            u = u.reshape(-1, d)
+            kernel = u @ (-2.0 * yc.T)
+            kernel += uu[:, None]
+            kernel += yy
+            np.divide(kernel, -fm.rbf_sigma, out=kernel)
+            np.exp(kernel, out=kernel)
+            kw = kernel @ weighted
+            grad = (kw[:, :1] * scale) * u - kw[:, 1:] * scale
+            out[block, first_bump:] = grad.reshape(-1, n_bumps, d)
     return out[0] if single else out
 
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .density import GaussianMixture, score
 from .features import FeatureMap, jacobian_features
-from .measures import Coupling, EmpiricalSnapshot, PopulationTrajectory, pairwise_mean
+from .measures import Coupling, EmpiricalSnapshot, PopulationTrajectory
 
 logger = logging.getLogger(__name__)
 
@@ -113,9 +112,7 @@ class LinearEnergyModel:
         x = np.atleast_2d(x)
         if self.interaction_map is None:
             return np.zeros_like(x)
-        fm = self.interaction_map
-        jac = partial(jacobian_features, fm)
-        rows = pairwise_mean(jac, x, points, weights, fm.n_features * fm.dim)
+        rows = jacobian_features(self.interaction_map, x, points, weights)
         return np.einsum("nad,a->nd", rows, self.theta_blocks()[1])
 
     def to_json(self) -> dict:
@@ -181,10 +178,9 @@ def build_row(
     if model.interaction_map is not None:
         if snapshot is None:
             raise ValueError("interaction block needs a snapshot to average over")
-        fm = model.interaction_map
-        jac = partial(jacobian_features, fm)
-        width = fm.n_features * fm.dim
-        parts.append(pairwise_mean(jac, x, snapshot.points, snapshot.weights, width))
+        parts.append(
+            jacobian_features(model.interaction_map, x, snapshot.points, snapshot.weights)
+        )
     if model.use_internal:
         if gmm is None:
             raise ValueError("internal block needs a density estimate for this snapshot")
@@ -234,7 +230,9 @@ def accumulate(
         snap = trajectory.snapshots[t]
         gmm = gmms[t] if gmms is not None else None
         rows = build_row(model, snap.points, snap, gmm)
-        stat.gram += np.einsum("nad,nbd,n->ab", rows, rows, snap.weights)
+        # one matmul over the (n_active, N * d) row matrix, each weight repeated per coordinate
+        flat = rows.transpose(1, 0, 2).reshape(model.n_active, -1)
+        stat.gram += (flat * np.repeat(snap.weights, trajectory.dim)) @ flat.T
         coupling = couplings[t - 1]
         if coupling.source_time != t - 1 or coupling.target_time != t:
             raise ValueError(
@@ -244,9 +242,10 @@ def accumulate(
         step = (
             snap.points[coupling.target_indices] - prev.points[coupling.source_indices]
         ) / tau
-        stat.moment += np.einsum(
-            "kad,kd,k->ad", rows[coupling.target_indices], step, coupling.masses
-        )
+        # per coordinate: (n_active, K) target rows times the K mass-weighted steps
+        weighted_step = (step * coupling.masses[:, None]).T[:, :, None]
+        target = rows[coupling.target_indices].transpose(2, 1, 0)
+        stat.moment += (target @ weighted_step)[:, :, 0].T
         stat.offset += float(coupling.masses @ (step**2).sum(axis=1))
     return stat
 

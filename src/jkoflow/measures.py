@@ -22,7 +22,12 @@ import numpy as np
 
 WEIGHT_ATOL = 1e-9
 COUPLING_ATOL = 1e-8
-PAIR_BUDGET = 8_000_000  # float64 entries in the widest per-pair array of one pair block
+# float64 entries in the widest per-pair array of one pair block.  2**17
+# entries (1 MiB) keep a block and its companion arrays within one core's
+# 2 MiB of L2.  Swept over 64k-8M entries in both BLAS thread modes (2-CPU
+# Xeon, OpenBLAS 0.3.31), 64k-250k were level and fastest on the general_linear
+# and general_mlp benchmark workloads; 8M, the earlier value, was up to 45% slower.
+PAIR_BUDGET = 131_072
 
 
 @dataclass

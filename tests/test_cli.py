@@ -725,6 +725,38 @@ def test_jobs_env_fallback(flat_dataset, monkeypatch):
     assert run("couple", "--data", str(flat_dataset)) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, config, env",
+    [
+        (["--jobs", "0"], None, None),
+        (["--jobs", "-2"], None, None),
+        ([], {"jobs": 0}, None),
+        ([], None, "0"),
+        ([], None, "-3"),
+    ],
+    ids=["flag-zero", "flag-negative", "config-zero", "env-zero", "env-negative"],
+)
+@pytest.mark.parametrize("command", ["couple", "experiment"])
+def test_jobs_below_one_exit_one(
+    command, argv, config, env, flat_dataset, stub_runners, tmp_path, monkeypatch, capsys
+):
+    if env is None:
+        monkeypatch.delenv("JKO_FLOW_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("JKO_FLOW_JOBS", env)
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg_path)]
+    if command == "couple":
+        argv = ["couple", "--data", str(flat_dataset), *argv]
+    else:
+        argv = ["experiment", "general", "--seed", "0", "--out", str(tmp_path / "o"), *argv]
+    assert run(*argv) == EXIT_USAGE
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert stub_runners == []
+
+
 # ---------------------------------------------------------------------------
 # console-script entry point
 

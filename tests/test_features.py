@@ -173,6 +173,64 @@ def test_jacobian_shape(rng):
 
 
 # ---------------------------------------------------------------------------
+# pair mean against a population
+
+
+def pair_mean_reference(fm, x, points, weights):
+    """sum_j weights_j J(x_i - y_j), one single-point Jacobian per pair, and
+    each feature's largest sum of the absolute terms, the scale errors are
+    measured against."""
+    terms = np.array(
+        [[w * jacobian_features(fm, xi - y) for y, w in zip(points, weights)] for xi in x]
+    )
+    scale = np.abs(terms).sum(axis=1).max(axis=(0, 2))
+    return terms.sum(axis=1), scale[None, :, None]
+
+
+PAIR_MEAN_MAPS = {
+    "monomials-cross": lambda: polynomial_map(2, 4, cross=True),
+    "bumps": lambda: FeatureMap(dim=2, rbf_centers=grid_centers(2, 5)),
+    "default-1d": lambda: build_default(1),
+    "default-2d": lambda: build_default(2, include_cross=True),
+    "default-3d": lambda: build_default(3, include_cross=True),  # random centers
+}
+
+
+@pytest.mark.parametrize("n_x, n_points", [(6, 9), (1, 9), (6, 1)],
+                         ids=["rows", "single-row", "single-point"])
+@pytest.mark.parametrize("name", PAIR_MEAN_MAPS)
+def test_pair_mean_matches_a_loop_over_the_population(name, n_x, n_points, rng):
+    # relative to each feature's largest absolute pair sum: where a bump is
+    # e^-60 small, exp rounds its large argument in the reference too
+    fm = PAIR_MEAN_MAPS[name]()
+    x = rng.uniform(-4, 4, size=(n_x, fm.dim))
+    points = rng.uniform(-4, 4, size=(n_points, fm.dim))
+    weights = rng.uniform(0.1, 1.0, size=n_points)
+    weights /= weights.sum()
+    got = jacobian_features(fm, x, points, weights)
+    want, scale = pair_mean_reference(fm, x, points, weights)
+    assert got.shape == (n_x, fm.n_features, fm.dim)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_pair_mean_keeps_precision_far_from_the_origin(rng):
+    """x and y about 50 from the origin: the squared distances are expanded
+    about the population's mean, so only the spread about it costs precision,
+    about eps * R^2 / sigma for points R from that mean.  At sigma = 0.5 the
+    expansion stops meeting 1e-12 near R = 40 (two clusters at +-R: 4e-13 at
+    R = 30, 1.5e-12 at R = 50); without the shift this case misses it (2e-12)."""
+    fm = build_default(2, include_cross=True)
+    far = 50.0 / np.sqrt(2.0)
+    x = far + rng.normal(size=(5, 2))
+    points = far + rng.normal(size=(20, 2))
+    weights = rng.uniform(0.1, 1.0, size=20)
+    weights /= weights.sum()
+    want, scale = pair_mean_reference(fm, x, points, weights)
+    got = jacobian_features(fm, x, points, weights)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 

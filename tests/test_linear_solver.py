@@ -11,13 +11,14 @@ vector zeroes the residual exactly.
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from jkoflow import linear_solver
+from jkoflow import features, measures
 from jkoflow.density import GaussianMixture
-from jkoflow.features import FeatureMap, eval_features, jacobian_features, polynomial_map
+from jkoflow.features import FeatureMap, build_default, eval_features, polynomial_map
 from jkoflow.linear_solver import (
     DEFAULT_RIDGE,
     FeatureStatistic,
@@ -88,7 +89,7 @@ def test_build_row_blocks_stack_in_order():
 
 
 def test_interaction_rows_do_not_depend_on_pair_blocks(monkeypatch):
-    # a budget of 8 rows per block against 30 points, at n_features * d
+    # a budget of 8 rows per block against 30 points, at max(bumps, d) = 2
     # entries per pair: 20 rows span three blocks
     inter = FeatureMap(dim=2, poly_degree=2, poly_cross=True, rbf_centers=np.array([[0.0, 1.0]]))
     rng = np.random.default_rng(4)
@@ -99,16 +100,35 @@ def test_interaction_rows_do_not_depend_on_pair_blocks(monkeypatch):
     want_rows = build_row(model, x, snap, None)
     want_mean = model.grad_interaction_mean(x, snap.points, snap.weights)
     blocks = []
-    monkeypatch.setattr(
-        linear_solver, "jacobian_features",
-        lambda fm, x: blocks.append(len(x)) or jacobian_features(fm, x),
-    )
-    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 8 * 30 * inter.n_features * 2)
+
+    def spy(x, points, width):
+        for block, diff in measures.pair_chunks(x, points, width):
+            blocks.append(len(x[block]))
+            yield block, diff
+
+    monkeypatch.setattr(features, "pair_chunks", spy)
+    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 8 * 30 * 2)
     rows = build_row(model, x, snap, None)
     mean = model.grad_interaction_mean(x, snap.points, snap.weights)
-    assert blocks == [8 * 30, 8 * 30, 4 * 30] * 2
+    assert blocks == [8, 8, 4] * 2
     np.testing.assert_array_equal(rows, want_rows)
     np.testing.assert_array_equal(mean, want_mean)
+
+
+def test_build_row_peak_memory_stays_cache_sized():
+    # the default 2-D basis (8 monomials, 100 bumps) for both blocks, on 150
+    # points against their own snapshot: a (pairs, features, d) Jacobian of
+    # the 22,500 pairs would take 39 MB on its own
+    fm = build_default(2)
+    model = LinearEnergyModel(potential_map=fm, interaction_map=fm)
+    snap = uniform_snapshot(np.random.default_rng(0).uniform(-4, 4, size=(150, 2)), 1)
+    tracemalloc.start()
+    try:
+        build_row(model, snap.points, snap, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_build_row_missing_inputs_raise():
