@@ -22,7 +22,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .density import GaussianMixture, score
 from .features import FeatureMap, jacobian_features
@@ -253,9 +252,11 @@ def accumulate(
 def solve(stat: FeatureStatistic, ridge_lambda: float = DEFAULT_RIDGE) -> np.ndarray:
     """Minimizer of sum mass * ||y^T theta + dx/tau||^2 + lambda ||theta||^2.
 
-    Positive ridge goes through a Cholesky factorization; lambda = 0 falls
-    back to the SVD pseudo-inverse with singular values below
-    1e-10 * sigma_max treated as zero.
+    Positive ridge goes through numpy's Cholesky factorization (a system that
+    is not positive definite raises ``LinAlgError``); lambda = 0 falls back
+    to the SVD pseudo-inverse with singular values below 1e-10 * sigma_max
+    treated as zero.  numpy, not scipy.linalg: scipy's own OpenBLAS thread
+    pool can stall a small solve for 0.1-0.3 s right after numpy BLAS work.
     """
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be >= 0")
@@ -266,7 +267,8 @@ def solve(stat: FeatureStatistic, ridge_lambda: float = DEFAULT_RIDGE) -> np.nda
         )
     if ridge_lambda > 0:
         system = stat.gram + ridge_lambda * np.eye(stat.gram.shape[0])
-        theta = -cho_solve(cho_factor(system, lower=True), rhs)
+        lower = np.linalg.cholesky(system)
+        theta = -np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
     else:
         u, s, vt = np.linalg.svd(stat.gram, hermitian=True)
         cutoff = PINV_CUTOFF * (s[0] if s.size else 0.0)

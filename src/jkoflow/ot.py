@@ -107,26 +107,112 @@ class _SimplexError(RuntimeError):
     pass
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible solution: n + m - 1 cells forming a spanning tree."""
-    n, m = a.shape[0], b.shape[0]
-    remaining_a = a.copy()
-    remaining_b = b.copy()
+def _least_cost_start(
+    a: np.ndarray, b: np.ndarray, cost: np.ndarray
+) -> dict[tuple[int, int], float]:
+    """Initial basic feasible solution: n + m - 1 cells forming a spanning tree.
+
+    Cells are visited cheapest first (row-major on equal cost).  A cell whose
+    row and column are both open gets min(remaining a_i, remaining b_j), and
+    the allocation closes exactly one line, the row when a_i's remainder is
+    no larger than b_j's, so the allocated cells form a forest.  Zero-mass
+    cells, cheapest first, then join its components into a spanning tree.
+    """
+    n, m = cost.shape
+    ra, rb = a.tolist(), b.tolist()
+    row_open, col_open = [True] * n, [True] * m
+    order = np.argsort(cost, axis=None, kind="stable").tolist()
     alloc: dict[tuple[int, int], float] = {}
-    i = j = 0
-    while True:
-        q = min(remaining_a[i], remaining_b[j])
-        alloc[(i, j)] = q
-        remaining_a[i] -= q
-        remaining_b[j] -= q
-        if i == n - 1 and j == m - 1:
-            break
-        # advance exactly one index per step so the basis stays a tree
-        if j == m - 1 or (remaining_a[i] <= remaining_b[j] and i < n - 1):
-            i += 1
-        else:
-            j += 1
+    for flat in order:
+        i, j = divmod(flat, m)
+        if row_open[i] and col_open[j]:
+            q = min(ra[i], rb[j])
+            alloc[(i, j)] = q
+            if ra[i] <= rb[j]:
+                row_open[i] = False
+            else:
+                col_open[j] = False
+            ra[i] -= q
+            rb[j] -= q
+    if len(alloc) < n + m - 1:
+        # union-find over nodes: rows 0..n-1, columns n..n+m-1
+        root = list(range(n + m))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        for i, j in alloc:
+            root[find(i)] = find(n + j)
+        for flat in order:
+            i, j = divmod(flat, m)
+            ri, rj = find(i), find(n + j)
+            if ri != rj:
+                root[ri] = rj
+                alloc[(i, j)] = 0.0
+                if len(alloc) == n + m - 1:
+                    break
     return alloc
+
+
+def _hang(
+    adj: list[set[int]],
+    cost: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    parent: list[int],
+    start: int,
+    via: int,
+) -> list[int]:
+    """Hang the tree component of ``start`` below ``via`` (-1: make it the root).
+
+    Walks the component without crossing back to ``via``, sets each node's
+    parent, and sets its dual from the tree arc to its parent, u_i + v_j =
+    cost_ij, with u = 0 at a root.  Returns the nodes walked, ``start`` first.
+    """
+    n = u.shape[0]
+    parent[start] = via
+    nodes = [start]
+    for node in nodes:
+        p = parent[node]
+        if node < n:
+            u[node] = 0.0 if p < 0 else cost[node, p - n] - v[p - n]
+        else:
+            v[node - n] = cost[p, node - n] - u[p]
+        for nb in adj[node]:
+            if nb != p:
+                parent[nb] = node
+                nodes.append(nb)
+    return nodes
+
+
+def _tree_path(parent: list[int], start: int, goal: int) -> list[int]:
+    """Nodes on the tree path from ``start`` to ``goal``, both included."""
+    up = [start]
+    while parent[up[-1]] >= 0:
+        up.append(parent[up[-1]])
+    depth = {node: k for k, node in enumerate(up)}
+    down = [goal]
+    while down[-1] not in depth:
+        down.append(parent[down[-1]])
+    return up[: depth[down[-1]]] + down[::-1]
+
+
+def _entering(reduced: np.ndarray, opt_tol: float, bland: bool) -> tuple[int, int] | None:
+    """Entering cell, None when no reduced cost is below -opt_tol.
+
+    Dantzig: the most negative, and argmin takes the first hit, the lowest
+    (i, j).  Bland: the first negative in row-major order.
+    """
+    if bland:
+        candidates = np.argwhere(reduced < -opt_tol)
+        if candidates.shape[0] == 0:
+            return None
+        return int(candidates[0, 0]), int(candidates[0, 1])
+    ei, ej = divmod(int(np.argmin(reduced)), reduced.shape[1])
+    return None if reduced[ei, ej] >= -opt_tol else (ei, ej)
 
 
 def _transport_simplex(
@@ -134,13 +220,22 @@ def _transport_simplex(
 ) -> dict[tuple[int, int], float]:
     """Minimize <cost, plan> over plans with marginals (a, b).
 
-    Entering variable: most negative reduced cost, first in row-major order on
-    ties; after a pivot budget, falls back to Bland's rule (first negative in
+    Starts from the least-cost basis of ``_least_cost_start``.  Entering
+    variable: most negative reduced cost, first in row-major order on ties;
+    after a pivot budget, falls back to Bland's rule (first negative in
     row-major order), which cannot cycle.  Leaving variable: smallest
     allocation on the shrinking arcs, lowest (i, j) on ties.
+
+    The basis is kept as a tree rooted at row 0, and the duals are set by one
+    walk of it.  A pivot walks only the subtree that the leaving arc cuts off
+    and the entering arc re-hangs: its duals are set again from their tree
+    arcs, so they always equal a full walk's, and the reduced costs move by
+    row and column shifts of the entering cell's reduced cost.  Before the
+    plan is declared optimal the reduced costs are rebuilt from the duals, so
+    the exit test does not see the rounding those shifts accumulate.
     """
     n, m = cost.shape
-    alloc = _northwest_corner(a, b)
+    alloc = _least_cost_start(a, b, cost)
     # tree adjacency over nodes: rows 0..n-1, columns n..n+m-1
     adj: list[set[int]] = [set() for _ in range(n + m)]
     for (i, j) in alloc:
@@ -154,45 +249,26 @@ def _transport_simplex(
 
     u = np.empty(n)
     v = np.empty(m)
-    parent = np.empty(n + m, dtype=np.int64)
-    order = np.empty(n + m, dtype=np.int64)
+    parent = [-1] * (n + m)
+    if len(_hang(adj, cost, u, v, parent, 0, -1)) != n + m:
+        raise _SimplexError("basis lost connectivity")
+    reduced = cost - u[:, None] - v[None, :]
+    rebuilt = True
 
     for pivot in range(max_pivots):
-        # duals from u[0] = 0 by walking the spanning tree
-        parent.fill(-1)
-        order[0] = 0
-        parent[0] = 0
-        u[0] = 0.0
-        head, count = 0, 1
-        while head < count:
-            node = order[head]
-            head += 1
-            for nb in adj[node]:
-                if parent[nb] == -1:
-                    parent[nb] = node
-                    order[count] = nb
-                    count += 1
-                    if nb >= n:
-                        v[nb - n] = cost[node, nb - n] - u[node]
-                    else:
-                        u[nb] = cost[nb, parent[nb] - n] - v[parent[nb] - n]
-        if count != n + m:
-            raise _SimplexError("basis lost connectivity")
-
-        reduced = cost - u[:, None] - v[None, :]
-        if pivot < bland_after:
-            flat = int(np.argmin(reduced))  # argmin takes the first hit: lowest (i, j)
-            ei, ej = divmod(flat, m)
-            if reduced[ei, ej] >= -opt_tol:
-                break
-        else:
-            candidates = np.argwhere(reduced < -opt_tol)
-            if candidates.shape[0] == 0:
-                break
-            ei, ej = int(candidates[0, 0]), int(candidates[0, 1])
+        bland = pivot >= bland_after
+        entry = _entering(reduced, opt_tol, bland)
+        if entry is None and not rebuilt:
+            reduced = cost - u[:, None] - v[None, :]
+            rebuilt = True
+            entry = _entering(reduced, opt_tol, bland)
+        if entry is None:
+            break
+        rebuilt = False
+        ei, ej = entry
 
         # cycle: entering arc plus the unique tree path between its endpoints
-        path = _tree_path(adj, ei, n + ej)
+        path = _tree_path(parent, ei, n + ej)
         # path edges alternate -,+,-,... starting and ending with - (odd length)
         minus_edges = []
         plus_edges = []
@@ -212,30 +288,24 @@ def _transport_simplex(
         adj[n + ej].add(ei)
         adj[leaving[0]].discard(n + leaving[1])
         adj[n + leaving[1]].discard(leaving[0])
+
+        # the leaving arc's child end lies on the path's up leg (ei's side)
+        # or its down leg (the column's side); that side is re-hung
+        k = minus_edges.index(leaving) * 2
+        delta = reduced[ei, ej]
+        if parent[path[k]] == path[k + 1]:
+            start, via, shift = ei, n + ej, delta
+        else:
+            start, via, shift = n + ej, ei, -delta
+        nodes = _hang(adj, cost, u, v, parent, start, via)
+        reduced[[x for x in nodes if x < n]] -= shift
+        reduced[:, [x - n for x in nodes if x >= n]] += shift
     else:
         raise _SimplexError(
             f"transportation simplex exceeded {max_pivots} pivots "
             "(degenerate cycling); inputs may be pathological"
         )
     return alloc
-
-
-def _tree_path(adj: list[set[int]], start: int, goal: int) -> list[int]:
-    parent = {start: start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nb in adj[node]:
-            if nb not in parent:
-                parent[nb] = node
-                stack.append(nb)
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
 
 
 def _times(source: EmpiricalSnapshot, target: EmpiricalSnapshot) -> tuple[int, int]:
@@ -253,7 +323,9 @@ def solve_exact(
 
     Deterministic: ties in pivoting are broken toward the lexicographically
     lowest cell.  For uniform weights with equal particle counts the plan is a
-    permutation and is found by assignment instead of simplex.
+    permutation and is found by assignment instead of simplex.  Otherwise the
+    transportation simplex starts from a least-cost basis and updates its
+    duals only on the subtree each pivot re-hangs (``_transport_simplex``).
     """
     _count_solve()
     st, tt = _times(source, target)

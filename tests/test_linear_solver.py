@@ -15,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from jkoflow import features, measures
 from jkoflow.density import GaussianMixture
@@ -227,6 +228,32 @@ def test_solve_rejects_negative_ridge_and_non_finite_stats():
     bad = FeatureStatistic(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones((2, 1)))
     with pytest.raises(FloatingPointError, match="non-finite"):
         solve(bad, 0.01)
+
+
+def test_cholesky_solve_matches_scipy_on_polynomial_basis():
+    # the acceptance-06 basis: degree-4 monomials for both blocks, plus diffusion
+    rng = np.random.default_rng(6)
+    frames = [rng.normal(size=(60, 2)) for _ in range(3)]
+    traj = _trajectory(frames, 0.01)
+    couplings = [_identity_coupling(t, 60) for t in range(2)]
+    model = LinearEnergyModel(
+        potential_map=polynomial_map(2, 4),
+        interaction_map=polynomial_map(2, 4),
+        use_internal=True,
+    )
+    stat = accumulate(model, traj, couplings, [_unit_gmm(2)] * 3)
+    system = stat.gram + model.ridge_lambda * np.eye(model.n_active)
+    want = -cho_solve(cho_factor(system, lower=True), stat.moment.sum(axis=1))
+    np.testing.assert_allclose(solve(stat, model.ridge_lambda), want, rtol=1e-12)
+    stat.gram[0, 1] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        solve(stat, model.ridge_lambda)
+
+
+def test_solve_rejects_a_gram_that_is_not_positive_definite():
+    stat = FeatureStatistic(-np.eye(2), np.ones((2, 1)))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(stat, 0.01)
 
 
 def _implicit_quadratic_data(tau: float = 0.1, steps: int = 2):

@@ -120,7 +120,7 @@ def test_general_instances_match_linprog(rng):
 )
 def test_benchmark_size_instances_match_linprog(n, m, uniform):
     # the ragged_exact benchmark's counts: uniform ragged instances are
-    # degenerate and take hundreds of pivots
+    # degenerate, with exact ties in the least-cost start and degenerate pivots
     rng = np.random.default_rng(n * m)
     xa = rng.normal(size=(n, 2))
     xb = rng.normal(size=(m, 2))
@@ -135,6 +135,101 @@ def test_benchmark_size_instances_match_linprog(n, m, uniform):
     np.testing.assert_allclose(plan.source_marginal(n), mu.weights, rtol=0, atol=1e-15)
     np.testing.assert_allclose(plan.target_marginal(m), nu.weights, rtol=0, atol=1e-15)
     assert len(plan.masses) <= n + m - 1
+
+
+def simplex_certificate(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> None:
+    """Solve, then check the basis is a spanning tree of n + m - 1 cells, the
+    plan is feasible, and the duals read off the tree prove it optimal."""
+    n, m = cost.shape
+    alloc = _transport_simplex(a, b, cost)
+    assert len(alloc) == n + m - 1
+    plan = np.zeros((n, m))
+    for (i, j), q in alloc.items():
+        plan[i, j] = q
+    assert plan.min() >= 0.0
+    np.testing.assert_allclose(plan.sum(axis=1), a, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(plan.sum(axis=0), b, rtol=0, atol=1e-15)
+    # duals from u[0] = 0 along the basis arcs; n + m - 1 arcs reaching all
+    # n + m nodes make a tree
+    adj: dict[int, list[int]] = {k: [] for k in range(n + m)}
+    for i, j in alloc:
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+    u = np.zeros(n)
+    v = np.zeros(m)
+    seen = {0}
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for nb in adj[node]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+                if nb >= n:
+                    v[nb - n] = cost[node, nb - n] - u[node]
+                else:
+                    u[nb] = cost[nb, node - n] - v[node - n]
+    assert len(seen) == n + m
+    scale = max(1.0, float(np.abs(cost).max()))
+    reduced = cost - u[:, None] - v[None, :]
+    basic = tuple(np.array(sorted(alloc)).T)
+    np.testing.assert_allclose(reduced[basic], 0.0, rtol=0, atol=1e-12 * scale)
+    assert reduced.min() >= -1e-11 * scale
+
+
+def _duplicated(rng: np.random.Generator, n: int, distinct: int) -> np.ndarray:
+    return rng.normal(size=(distinct, 2))[rng.integers(0, distinct, size=n)]
+
+
+@pytest.mark.parametrize(
+    "case", ["60x90 uniform", "84x90 uniform", "79x66 weighted", "duplicated", "zero weight"]
+)
+@pytest.mark.parametrize("exponent", [1, 2])
+def test_simplex_returns_an_optimal_spanning_tree(case, exponent):
+    rng = np.random.default_rng(len(case) * 10 + exponent)
+    if case.endswith("uniform"):
+        # 60 x 90 shares the factor 30: exact ties in the start and degenerate pivots
+        n, m = (int(k) for k in case.split()[0].split("x"))
+        xa, xb = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+        a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    elif case == "79x66 weighted":
+        xa, xb = rng.normal(size=(79, 2)), rng.normal(size=(66, 2))
+        a, b = random_weights(rng, 79), random_weights(rng, 66)
+    elif case == "duplicated":
+        xa, xb = _duplicated(rng, 40, 12), _duplicated(rng, 60, 15)
+        a, b = np.full(40, 1.0 / 40), np.full(60, 1.0 / 60)
+    else:
+        xa, xb = rng.normal(size=(45, 2)), rng.normal(size=(70, 2))
+        a, b = random_weights(rng, 45), np.full(70, 1.0 / 70)
+        a[7] = 0.0
+        a /= a.sum()
+    simplex_certificate(a, b, cost_matrix(xa, xb, exponent))
+
+
+@given(
+    n=st.sampled_from([2, 3, 4, 6, 8, 9, 12]),
+    m=st.sampled_from([2, 3, 4, 6, 8, 9, 12]),
+    case=st.sampled_from(["uniform", "duplicated", "zero weight"]),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=80, deadline=None)
+def test_small_degenerate_instances_match_linprog(n, m, case, seed):
+    # uniform weights with a shared factor tie allocations exactly; duplicated
+    # points tie costs; a zero weight makes a zero-mass line
+    rng = np.random.default_rng(seed)
+    xa, xb = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+    a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    if case == "duplicated":
+        xa, xb = _duplicated(rng, n, max(1, n // 2)), _duplicated(rng, m, max(1, m // 2))
+    elif case == "zero weight":
+        a[int(rng.integers(0, n))] = 0.0
+        a /= a.sum()
+    mu, nu = EmpiricalSnapshot(xa, a, 0), EmpiricalSnapshot(xb, b, 1)
+    cost = cost_matrix(xa, xb)
+    want = linprog_oracle(a, b, cost)
+    assert transport_cost(solve_exact(mu, nu), mu, nu) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    # the simplex itself, also where solve_exact would take the assignment path
+    simplex_certificate(a, b, cost)
 
 
 def test_simplex_route_agrees_with_assignment_on_uniform(rng):
@@ -160,11 +255,18 @@ def test_exponent_one_matches_permutation_oracle(rng):
 def test_exact_is_deterministic(rng):
     mu = EmpiricalSnapshot(rng.normal(size=(9, 2)), random_weights(rng, 9), 0)
     nu = EmpiricalSnapshot(rng.normal(size=(6, 2)), random_weights(rng, 6), 1)
-    first = solve_exact(mu, nu)
-    second = solve_exact(mu, nu)
-    np.testing.assert_array_equal(first.source_indices, second.source_indices)
-    np.testing.assert_array_equal(first.target_indices, second.target_indices)
-    np.testing.assert_array_equal(first.masses, second.masses)
+    # 73 x 77 is a ragged_exact size, long enough for the reduced-cost shifts
+    # to accumulate rounding
+    ragged = (
+        uniform_snapshot(rng.normal(size=(73, 2)), 0),
+        uniform_snapshot(rng.normal(size=(77, 2)), 1),
+    )
+    for source, target in ((mu, nu), ragged):
+        first = solve_exact(source, target)
+        second = solve_exact(source, target)
+        np.testing.assert_array_equal(first.source_indices, second.source_indices)
+        np.testing.assert_array_equal(first.target_indices, second.target_indices)
+        np.testing.assert_array_equal(first.masses, second.masses)
 
 
 def test_zero_weight_particle_carries_no_mass(rng):
