@@ -11,14 +11,23 @@ pass's activations instead of recomputing them; ``gradient_and_adjoint`` and
 the fitting loss are built on it.  ``input_gradient`` runs the same passes
 without keeping a tape.  Everything is float64 numpy.
 
+The passes do only the work a gradient reads.  No gradient reads the net's
+value, so they compute neither the output nor the last hidden layer's
+softplus, only that layer's sigmoid; the scalar output's weight row W^L
+enters as a row broadcast over the batch, and its own gradient is the
+column sums of its cotangent.  ``forward`` and ``_forward_cache`` still run
+the whole net: they are the reference that the tests difference.  Each pass
+takes its batch-sized arrays from one allocation (``_Slab``).
+
 Architecture: affine layers with softplus hidden activations and a linear
 scalar output.  Weights start Gaussian with std sqrt(1/fan_in), biases zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
+from math import prod
 
 import numpy as np
 
@@ -36,35 +45,84 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
+def _exp_neg_abs(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.abs(z, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
+
+
 def _sigmoid_from_exp(
-    z: np.ndarray, e: np.ndarray, out: np.ndarray | None = None
+    z: np.ndarray, e: np.ndarray, out: np.ndarray | None = None, den: np.ndarray | None = None
 ) -> np.ndarray:
     # sigmoid(z) given e = exp(-|z|): 1/(1+e) for z >= 0, e/(1+e) below, so
-    # neither tail overflows
-    den = np.add(e, 1.0, out=out)
-    return np.divide(np.where(z >= 0, 1.0, e), den, out=out)
+    # neither tail overflows.  As e <= 1, max(e, z >= 0) is that numerator
+    # without a branch, and NaN stays NaN.  ``out`` may be z itself and
+    # ``den``, which receives 1 + e, may be e itself.
+    num = np.maximum(e, z >= 0, out=out)
+    return np.divide(num, np.add(e, 1.0, out=den), out=out)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     return _sigmoid_from_exp(z, np.exp(-np.abs(z)))
 
 
-def _softplus_and_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """softplus(z) and sigmoid(z) for a 2-d z, bit for bit, from one
-    exp(-|z|).  Each row block is computed in place in the outputs, so beside
-    z only the two outputs are as large as z."""
-    acts = np.empty_like(z)
-    sigs = np.empty_like(z)
+def _softplus_and_sigmoid_over(z: np.ndarray, sigs: np.ndarray, buffer: np.ndarray) -> None:
+    """sigmoid(z) into ``sigs`` and softplus(z) over z, for a 2-d z, bit for
+    bit, from one exp(-|z|) per row block; ``buffer`` is flat and holds two
+    blocks."""
     for start in range(0, z.shape[0], ACTIVATION_BLOCK_ROWS):
         rows = slice(start, start + ACTIVATION_BLOCK_ROWS)
-        e = acts[rows]  # exp(-|z|) first, then softplus over it
-        np.abs(z[rows], out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        _sigmoid_from_exp(z[rows], e, out=sigs[rows])
-        np.log1p(e, out=e)
-        e += np.maximum(z[rows], 0.0)
+        block = z[rows]
+        n = block.size
+        e = _exp_neg_abs(block, out=buffer[:n].reshape(block.shape))
+        _sigmoid_from_exp(block, e, out=sigs[rows], den=buffer[n : 2 * n].reshape(block.shape))
+        np.maximum(block, 0.0, out=block)
+        block += np.log1p(e, out=e)
+
+
+def _sigmoid_over(z: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """sigmoid(z) over a 2-d z, bit for bit; ``buffer`` is flat and holds
+    one row block."""
+    for start in range(0, z.shape[0], ACTIVATION_BLOCK_ROWS):
+        block = z[start : start + ACTIVATION_BLOCK_ROWS]
+        e = _exp_neg_abs(block, out=buffer[: block.size].reshape(block.shape))
+        _sigmoid_from_exp(block, e, out=block, den=e)
+    return z
+
+
+def _buffer_size(rows: int, widths: list[int]) -> int:
+    # the two row blocks of the widest layer that the activations work in
+    return 2 * min(rows, ACTIVATION_BLOCK_ROWS) * max(widths, default=0)
+
+
+def _softplus_and_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softplus(z) and sigmoid(z) for a 2-d z, bit for bit, from one
+    exp(-|z|).  Beside z only the two outputs are as large as z."""
+    acts = z.copy()
+    sigs = np.empty_like(z)
+    _softplus_and_sigmoid_over(acts, sigs, np.empty(_buffer_size(z.shape[0], [z.shape[1]])))
     return acts, sigs
+
+
+class _Slab:
+    """The batch-sized float64 arrays of one pass, cut in turn from a single
+    allocation.
+
+    glibc serves a large request by mmap and, when such a block is freed,
+    lifts its mmap threshold to that block's size and its trim threshold to
+    twice that.  A pass whose arrays come and go as one block is then served
+    from the heap without trimming it.  Separate arrays, each a fraction of
+    the pass's total, left the thresholds low: the heap was trimmed after
+    every pair block and its pages faulted in again on the next one.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._flat = np.empty(size)
+        self.used = 0
+
+    def take(self, *shape: int) -> np.ndarray:
+        start, self.used = self.used, self.used + prod(shape)
+        return self._flat[start : self.used].reshape(shape)
 
 
 @dataclass
@@ -124,18 +182,64 @@ def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     return activations[-1][:, 0]
 
 
+def _hidden_widths(mlp: Mlp) -> tuple[list[int], int, int]:
+    """Hidden widths, and the entries per batch row of the A^l (all but the
+    last hidden layer) and of the S^l (all hidden layers)."""
+    widths = [w.shape[0] for w in mlp.weights[:-1]]
+    return widths, sum(widths[:-1]), sum(widths)
+
+
+def _hidden_sigmoids(
+    mlp: Mlp, xb: np.ndarray, slab: _Slab, activations: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Sigmoids S^l = sigmoid(Z^l) of the hidden layers for a 2-d batch, in
+    arrays taken from ``slab``.
+
+    The hidden layers' inputs A^0 = xb, A^1, ... are appended to
+    ``activations``; A^l = softplus(Z^l) is written over Z^l.  The last
+    hidden layer's softplus would feed only the net's value, which no
+    gradient reads, so that layer computes its sigmoid alone, over its Z.
+    """
+    rows = xb.shape[0]
+    widths, _, _ = _hidden_widths(mlp)
+    buffer = slab.take(_buffer_size(rows, widths))
+    sigmoids = []
+    a = xb
+    for l, (w, b) in enumerate(zip(mlp.weights[:-1], mlp.biases[:-1])):
+        activations.append(a)
+        z = np.matmul(a, w.T, out=slab.take(rows, w.shape[0]))
+        z += b
+        if l == len(widths) - 1:
+            sigmoids.append(_sigmoid_over(z, buffer))
+        else:
+            sigmoids.append(slab.take(rows, w.shape[0]))
+            _softplus_and_sigmoid_over(z, sigmoids[-1], buffer)
+            a = z
+    return sigmoids
+
+
+def _constant_gradient(mlp: Mlp, rows: int) -> np.ndarray:
+    # a net without hidden layers is affine: its gradient is the weight row
+    return np.repeat(mlp.weights[0], rows, axis=0)
+
+
 def input_gradient(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     """d(output)/d(input), shape matching x."""
     xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    # the backward pass reads only the hidden sigmoids: keep no activation
-    a, sigmoids = xb, []
-    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
-        a, sig = _softplus_and_sigmoid(a @ w.T + b)
-        sigmoids.append(sig)
-    p = np.ones((xb.shape[0], 1))
-    for l in range(len(mlp.weights) - 1, 0, -1):
-        p = (p @ mlp.weights[l]) * sigmoids[l - 1]
-    g = p @ mlp.weights[0]
+    rows = xb.shape[0]
+    widths, inner, total = _hidden_widths(mlp)
+    activations: list[np.ndarray] = []
+    sigmoids = _hidden_sigmoids(
+        mlp, xb, _Slab(rows * (inner + total) + _buffer_size(rows, widths)), activations
+    )
+    # Q^L = W^L, then Q^l = (Q^{l+1} * S^l) W^l; the product is written over
+    # S^l and Q^l over A^{l-1}, which nothing reads again
+    q = mlp.weights[-1]
+    for l in range(len(widths), 0, -1):
+        p = np.multiply(sigmoids[l - 1], q, out=sigmoids[l - 1])
+        w = mlp.weights[l - 1]
+        q = p @ w if l == 1 else np.matmul(p, w, out=activations[l - 1])
+    g = q if widths else _constant_gradient(mlp, rows)
     return g[0] if np.asarray(x).ndim == 1 else g
 
 
@@ -145,41 +249,58 @@ def _tape(mlp: Mlp, xb: np.ndarray):
 
     The pullback closes over this pass's activations, sigmoids and P/Q
     arrays, so they stay alive as long as it does; see
-    ``gradient_and_adjoint`` for the equations.
+    ``gradient_and_adjoint`` for the equations.  Its own batch-sized arrays
+    come from the tape's slab too, so a loss call allocates one block per
+    net; a second call overwrites them, but returns fresh gradients.
     """
     n_layers = len(mlp.weights)
-    activations, sigmoids = _forward_cache(mlp, xb)
+    rows = xb.shape[0]
+    widths, inner, total = _hidden_widths(mlp)
+    # forward A, S; backward P, Q; pullback Pbar (then Sbar), Qbar and Abar
+    slab = _Slab(rows * (3 * inner + 4 * total) + _buffer_size(rows, widths))
+    activations: list[np.ndarray] = []
+    sigmoids = _hidden_sigmoids(mlp, xb, slab, activations)
 
-    ps: list[np.ndarray | None] = [None] * (n_layers + 1)
+    ps: list[np.ndarray | None] = [None] * n_layers
     qs: list[np.ndarray | None] = [None] * (n_layers + 1)
-    ps[n_layers] = np.ones((xb.shape[0], 1))
+    q = mlp.weights[-1]  # Q^L: the output row, broadcast over the batch
     for l in range(n_layers - 1, 0, -1):
-        qs[l + 1] = ps[l + 1] @ mlp.weights[l]
-        ps[l] = qs[l + 1] * sigmoids[l - 1]
-    grads = ps[1] @ mlp.weights[0]
+        qs[l + 1] = q
+        ps[l] = np.multiply(q, sigmoids[l - 1], out=slab.take(rows, widths[l - 1]))
+        w = mlp.weights[l - 1]
+        q = ps[l] @ w if l == 1 else np.matmul(ps[l], w, out=slab.take(rows, w.shape[1]))
+    grads = q if widths else _constant_gradient(mlp, rows)
+
+    forward_used = slab.used
 
     def pullback(cot: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        d_weights = [np.zeros_like(w) for w in mlp.weights]
-        d_biases = [np.zeros_like(b) for b in mlp.biases]
-        d_weights[0] += ps[1].T @ cot
-        p_bar = cot @ mlp.weights[0].T
-        s_bar: list[np.ndarray | None] = [None] * n_layers
+        slab.used = forward_used  # every call takes the same arrays
+        d_weights: list[np.ndarray] = [None] * n_layers
+        d_biases: list[np.ndarray] = [None] * n_layers
+        s_bars: list[np.ndarray | None] = [None] * n_layers
+        q_bars: list[np.ndarray | None] = [None] * n_layers
+        q_bar = cot
         for l in range(1, n_layers):
-            s_bar[l] = p_bar * qs[l + 1]
-            q_bar = p_bar * sigmoids[l - 1]
-            d_weights[l] += ps[l + 1].T @ q_bar
-            p_bar = q_bar @ mlp.weights[l].T
+            w = mlp.weights[l - 1]
+            d_weights[l - 1] = ps[l].T @ q_bar
+            p_bar = np.matmul(q_bar, w.T, out=slab.take(rows, w.shape[0]))
+            q_bar = q_bars[l] = np.multiply(p_bar, sigmoids[l - 1], out=slab.take(*p_bar.shape))
+            s_bars[l] = np.multiply(p_bar, qs[l + 1], out=p_bar)
+        d_weights[-1] = q_bar.sum(axis=0, keepdims=True)  # the column sums of Qbar^L
+        d_biases[-1] = np.zeros_like(mlp.biases[-1])
 
         a_bar = None
         for l in range(n_layers - 1, 0, -1):
             s = sigmoids[l - 1]
-            z_bar = s_bar[l] * s * (1.0 - s)
+            z_bar = np.multiply(s_bars[l], s, out=s_bars[l])
+            z_bar *= np.subtract(1.0, s, out=q_bars[l])  # Qbar^{l+1} is spent
             if a_bar is not None:
-                z_bar = z_bar + a_bar * s
+                z_bar += np.multiply(a_bar, s, out=a_bar)
             d_weights[l - 1] += z_bar.T @ activations[l - 1]
-            d_biases[l - 1] += z_bar.sum(axis=0)
+            d_biases[l - 1] = z_bar.sum(axis=0)
             if l > 1:
-                a_bar = z_bar @ mlp.weights[l - 1]
+                w = mlp.weights[l - 1]
+                a_bar = np.matmul(z_bar, w, out=slab.take(rows, w.shape[1]))
         return d_weights, d_biases
 
     return grads, pullback
@@ -191,20 +312,25 @@ def gradient_and_adjoint(
     """Input gradients G plus parameter gradients of sum_b <cotangent_b, G_b>:
     one ``_tape`` over the batch, then its pullback of ``cotangent``.
 
-    The tape records the pair of passes
-        forward:   Z^l = A^{l-1} W^l^T + b^l,  A^l = softplus(Z^l),  A^L = Z^L
-        backward:  P^L = 1,  Q^{l+1} = P^{l+1} W^{l+1},  P^l = Q^{l+1} * S^l,
-                   G = P^1 W^1
-    with S^l = sigmoid(Z^l), and keeps A, S, P and Q.  The pullback
-    differentiates that graph in reverse for phi = <cotangent, G>:
-        Pbar^1 = cotangent W^1^T,            Wbar^1 += P^1^T cotangent
-        Sbar^l = Pbar^l * Q^{l+1},           Qbar^{l+1} = Pbar^l * S^l
-        Wbar^{l+1} += P^{l+1}^T Qbar^{l+1},  Pbar^{l+1} = Qbar^{l+1} W^{l+1}
-    ascending l, then descending through the forward chain:
+    With W^L the (1, h) output row, broadcast over the batch, the tape
+    records the pair of passes
+        forward:   Z^l = A^{l-1} W^l^T + b^l,  S^l = sigmoid(Z^l),
+                   A^l = softplus(Z^l)  for l < L - 1
+        backward:  Q^L = W^L,  P^l = Q^{l+1} * S^l,  Q^l = P^l W^l,
+                   G = Q^1
+    and keeps A, S, P and Q.  No gradient reads the net's value, so neither
+    A^{L-1} nor the output is computed.  The pullback differentiates that
+    graph in reverse for phi = <cotangent, G>:
+        Qbar^1 = cotangent
+        Wbar^l = P^l^T Qbar^l,   Pbar^l = Qbar^l W^l^T,
+        Sbar^l = Pbar^l * Q^{l+1},  Qbar^{l+1} = Pbar^l * S^l
+    ascending l < L, with the output row's gradient Wbar^L = sum_b Qbar^L
+    (the column sums), then descending through the forward chain:
         Zbar^l = Sbar^l * S^l (1 - S^l) + Abar^l * S^l
-        Wbar^l += Zbar^l^T A^{l-1},  bbar^l += sum_b Zbar^l,
+        Wbar^l += Zbar^l^T A^{l-1},  bbar^l = sum_b Zbar^l,
         Abar^{l-1} = Zbar^l W^l
-    (the output layer's Z carries no adjoint: phi never reads the net's value).
+    and bbar^L = 0.  A net with no hidden layer has G = W^1 on every row
+    and Wbar^1 = sum_b cotangent.
     """
     xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
     cot = np.atleast_2d(np.asarray(cotangent, dtype=np.float64))
@@ -450,7 +576,12 @@ def _pair_blocks(x_end, steps, populations, width, subsample, rng):
 
 @dataclass
 class AdamState:
-    """Adam moments for a fixed list of parameter arrays."""
+    """Adam moments for a fixed list of parameter arrays.
+
+    Each moment is one flat vector over the parameters' entries, in order, so
+    a step makes the same numpy calls however many arrays there are;
+    ``first`` and ``second`` are per-parameter views into those vectors.
+    """
 
     first: list[np.ndarray]
     second: list[np.ndarray]
@@ -460,6 +591,20 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     clip_norm: float = 10.0
+    _first_flat: np.ndarray = field(init=False, repr=False)
+    _second_flat: np.ndarray = field(init=False, repr=False)
+    _slices: list[slice] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ends = np.cumsum([np.size(m) for m in self.first]).tolist()
+        self._slices = [slice(end - np.size(m), end) for m, end in zip(self.first, ends)]
+        self._first_flat = np.concatenate([np.ravel(m) for m in self.first])
+        self._second_flat = np.concatenate([np.ravel(v) for v in self.second])
+        self.first = self._views(self._first_flat, self.first)
+        self.second = self._views(self._second_flat, self.second)
+
+    def _views(self, flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+        return [flat[sl].reshape(np.shape(a)) for sl, a in zip(self._slices, like)]
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], lr: float = 1e-3) -> "AdamState":
@@ -473,19 +618,24 @@ class AdamState:
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
     """One in-place update.  Gradients are jointly clipped to a global norm of
     ``clip_norm`` before touching the moments, so the moments never see the
-    unclipped spike."""
-    total = np.sqrt(sum(float((g**2).sum()) for g in grads))
+    unclipped spike.  The gradients are concatenated once, the moment and
+    step arithmetic runs on the flat vectors, and each parameter then takes
+    its slice of the step."""
+    g = np.concatenate([np.ravel(grad) for grad in grads])
+    total = np.sqrt(g @ g)
     if total > state.clip_norm:
-        factor = state.clip_norm / total
-        grads = [g * factor for g in grads]
+        g *= state.clip_norm / total
     state.step += 1
     correction1 = 1.0 - state.beta1**state.step
     correction2 = 1.0 - state.beta2**state.step
-    for p, g, m, v in zip(params, grads, state.first, state.second):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g**2
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state._first_flat, state._second_flat
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    g *= g
+    g *= 1.0 - state.beta2
+    v += g
+    step = state.lr * (m / correction1)
+    step /= np.sqrt(v / correction2) + state.eps
+    for p, update in zip(params, state._views(step, params)):
+        p -= update

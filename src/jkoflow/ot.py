@@ -12,6 +12,7 @@ can verify that couplings are computed once and reused.
 from __future__ import annotations
 
 import logging
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,6 +31,12 @@ from .measures import (
 logger = logging.getLogger(__name__)
 
 _solve_count = 0
+# couple_trajectory counts from worker threads, and += is a read-modify-write
+_solve_count_lock = threading.Lock()
+
+# a basic cell of an exact plan whose mass is below this many ulps of the
+# largest weight holds pivot rounding (1/78 - 1/88 and the like), not mass
+_ROUNDING_ULPS = 64
 
 
 def reset_solve_count() -> None:
@@ -43,7 +50,8 @@ def get_solve_count() -> int:
 
 def _count_solve() -> None:
     global _solve_count
-    _solve_count += 1
+    with _solve_count_lock:
+        _solve_count += 1
 
 
 @dataclass
@@ -325,7 +333,9 @@ def solve_exact(
     lowest cell.  For uniform weights with equal particle counts the plan is a
     permutation and is found by assignment instead of simplex.  Otherwise the
     transportation simplex starts from a least-cost basis and updates its
-    duals only on the subtree each pivot re-hangs (``_transport_simplex``).
+    duals only on the subtree each pivot re-hangs (``_transport_simplex``);
+    cells left with rounding masses, below 64 ulps of the largest weight, are
+    dropped before the plan is renormalized.
     """
     _count_solve()
     st, tt = _times(source, target)
@@ -337,7 +347,9 @@ def solve_exact(
         coupling = Coupling(st, tt, rows, cols, masses)
     else:
         alloc = _transport_simplex(source.weights, target.weights, cost)
-        cells = sorted(c for c, q in alloc.items() if q > 0)
+        largest = max(source.weights.max(), target.weights.max())
+        floor = _ROUNDING_ULPS * np.finfo(np.float64).eps * largest
+        cells = sorted(c for c, q in alloc.items() if q > floor)
         src = np.array([c[0] for c in cells], dtype=np.int64)
         tgt = np.array([c[1] for c in cells], dtype=np.int64)
         masses = np.array([alloc[c] for c in cells])

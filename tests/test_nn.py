@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from jkoflow.nn import (
     sigmoid,
     softplus,
     softplus_inverse,
+    _forward_cache,
     _softplus_and_sigmoid,
 )
 
@@ -76,6 +78,24 @@ def test_fused_activation_matches_softplus_and_sigmoid_bit_for_bit():
     acts, sigs = _softplus_and_sigmoid(z)
     np.testing.assert_array_equal(acts, softplus(z))
     np.testing.assert_array_equal(sigs, sigmoid(z))
+
+
+def _where_sigmoid(z: np.ndarray) -> np.ndarray:
+    # the branching numerator the activations used before np.maximum
+    e = np.exp(-np.abs(z))
+    den = e + 1.0
+    return np.where(z >= 0, 1.0, e) / den
+
+
+def test_branch_free_sigmoid_is_bit_identical_to_the_where_form():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 1000.0, -1000.0, np.inf, -np.inf, np.nan]
+    z = np.concatenate([np.array(edges), _rng(34).normal(size=200) * 30.0])
+    want = _where_sigmoid(z).view(np.int64)
+    block = np.tile(z[:, None], (1, 3))
+    np.testing.assert_array_equal(sigmoid(z).view(np.int64), want)
+    np.testing.assert_array_equal(_softplus_and_sigmoid(block)[1][:, 1].view(np.int64), want)
+    over = nn._sigmoid_over(block.copy(), np.empty(block.size))
+    np.testing.assert_array_equal(over[:, 2].view(np.int64), want)
 
 
 def test_softplus_inverse_round_trip():
@@ -201,6 +221,30 @@ def test_input_gradient_peak_memory():
     assert peak <= 5.5 * 22_500 * 64 * 8
 
 
+HIDDEN_CASES = [(), (16,), (64, 64), (8, 8, 8)]
+
+
+def _reference_input_gradient(mlp: Mlp, xb: np.ndarray) -> np.ndarray:
+    # the pass before the dead work was cut: the whole net forward, the last
+    # softplus and the output included, then P^L = 1 and 1 W^L as full arrays
+    _, sigmoids = _forward_cache(mlp, xb)
+    p = np.ones((xb.shape[0], 1))
+    for l in range(len(mlp.weights) - 1, 0, -1):
+        p = (p @ mlp.weights[l]) * sigmoids[l - 1]
+    return p @ mlp.weights[0]
+
+
+@pytest.mark.parametrize("hidden", HIDDEN_CASES)
+@pytest.mark.parametrize("rows", [1, 7, nn.ACTIVATION_BLOCK_ROWS + 52])
+def test_input_gradient_matches_a_pass_that_runs_the_last_softplus(hidden, rows):
+    rng = _rng(35)
+    mlp = init_mlp([3, *hidden, 1], rng)
+    for b in mlp.biases:
+        b[:] = 0.3 * rng.normal(size=b.shape)
+    x = 2.0 * rng.normal(size=(rows, 3))
+    np.testing.assert_array_equal(input_gradient(mlp, x), _reference_input_gradient(mlp, x))
+
+
 # ---------------------------------------------------------------------------
 # parameter gradients of <cotangent, input_gradient>
 
@@ -256,6 +300,77 @@ def test_gradient_and_adjoint_is_additive_over_batch():
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
     for a, b in zip(db, db_sum):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+def _reference_tape(mlp: Mlp, xb: np.ndarray):
+    # the tape before the dead work was cut: the whole net forward, P^L = 1
+    # and Q^L = 1 W^L as full arrays, and the output row's gradient as a
+    # product with P^L like every other weight gradient
+    n_layers = len(mlp.weights)
+    activations, sigmoids = _forward_cache(mlp, xb)
+    ps = [None] * (n_layers + 1)
+    qs = [None] * (n_layers + 1)
+    ps[n_layers] = np.ones((xb.shape[0], 1))
+    for l in range(n_layers - 1, 0, -1):
+        qs[l + 1] = ps[l + 1] @ mlp.weights[l]
+        ps[l] = qs[l + 1] * sigmoids[l - 1]
+    grads = ps[1] @ mlp.weights[0]
+
+    def pullback(cot):
+        d_weights = [np.zeros_like(w) for w in mlp.weights]
+        d_biases = [np.zeros_like(b) for b in mlp.biases]
+        d_weights[0] += ps[1].T @ cot
+        p_bar = cot @ mlp.weights[0].T
+        s_bar = [None] * n_layers
+        for l in range(1, n_layers):
+            s_bar[l] = p_bar * qs[l + 1]
+            q_bar = p_bar * sigmoids[l - 1]
+            d_weights[l] += ps[l + 1].T @ q_bar
+            p_bar = q_bar @ mlp.weights[l].T
+        a_bar = None
+        for l in range(n_layers - 1, 0, -1):
+            s = sigmoids[l - 1]
+            z_bar = s_bar[l] * s * (1.0 - s)
+            if a_bar is not None:
+                z_bar = z_bar + a_bar * s
+            d_weights[l - 1] += z_bar.T @ activations[l - 1]
+            d_biases[l - 1] += z_bar.sum(axis=0)
+            if l > 1:
+                a_bar = z_bar @ mlp.weights[l - 1]
+        return d_weights, d_biases
+
+    return grads, pullback
+
+
+def _reference_adjoint(mlp: Mlp, x: np.ndarray, cotangent: np.ndarray):
+    grads, pullback = _reference_tape(mlp, x)
+    return (grads, *pullback(cotangent))
+
+
+def _assert_close_to_reference(got, want):
+    # the output row's gradient is a column sum in place of a product with
+    # ones, which rounds differently
+    assert np.shape(got) == np.shape(want)
+    assert np.abs(np.asarray(got) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("hidden", HIDDEN_CASES)
+@pytest.mark.parametrize("rows", [5, nn.ACTIVATION_BLOCK_ROWS + 52])
+def test_tape_matches_the_reference_tape(hidden, rows):
+    rng = _rng(36)
+    mlp = init_mlp([2, *hidden, 1], rng)
+    x = rng.normal(size=(rows, 2))
+    cot = rng.normal(size=(rows, 2))
+    grads, pullback = nn._tape(mlp, x)
+    want_grads, want_pullback = _reference_tape(mlp, x)
+    np.testing.assert_array_equal(grads, want_grads)
+    first = list(chain(*pullback(cot)))
+    # a second pullback reuses the tape's arrays but not its results: the
+    # first call's gradients stay as they were
+    again = list(chain(*pullback(2.0 * cot)))
+    for got, twice, want in zip(first, again, chain(*want_pullback(cot))):
+        _assert_close_to_reference(got, want)
+        np.testing.assert_array_equal(twice, 2.0 * got)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +622,12 @@ def test_interaction_subsample_full_size_is_exact_and_smaller_needs_rng():
     assert np.isfinite(sub)
 
 
-def _two_pass_loss(model, x0, x1, masses, tau, pop=None, pw=None, gmm=None, time_input=None):
+def _two_pass_loss(
+    model, x0, x1, masses, tau, pop=None, pw=None, gmm=None, time_input=None,
+    adjoint=gradient_and_adjoint,
+):
     # the residual from input gradients, then every net's passes again inside
-    # gradient_and_adjoint for the parameter gradients
+    # ``adjoint`` for the parameter gradients
     d = model.dim
     inputs_v = model._with_time(x1, time_input)
     residual = input_gradient(model.potential_net, inputs_v)[:, :d] + (x1 - x0) / tau
@@ -521,14 +639,14 @@ def _two_pass_loss(model, x0, x1, masses, tau, pop=None, pw=None, gmm=None, time
     loss = float(masses @ (residual**2).sum(axis=1))
     cot = 2.0 * masses[:, None] * residual
     cot_v = np.hstack([cot, np.zeros((cot.shape[0], 1))]) if model.time_conditioned else cot
-    _, dw, db = gradient_and_adjoint(model.potential_net, inputs_v, cot_v)
+    _, dw, db = adjoint(model.potential_net, inputs_v, cot_v)
     grads = dw + db
     if pop is not None:
         dw_int = [np.zeros_like(w) for w in model.interaction_net.weights]
         db_int = [np.zeros_like(b) for b in model.interaction_net.biases]
         for rows, diff in pair_chunks(x1, pop, model.interaction_net.width):
             pair_cot = (cot[rows, None, :] * pw[None, :, None]).reshape(-1, d)
-            _, dws, dbs = gradient_and_adjoint(model.interaction_net, diff, pair_cot)
+            _, dws, dbs = adjoint(model.interaction_net, diff, pair_cot)
             for acc, delta in zip(dw_int + db_int, dws + dbs):
                 acc += delta
         grads += dw_int + db_int
@@ -589,6 +707,31 @@ def test_loss_matches_two_pass_reference_bit_for_bit(case, monkeypatch):
     assert len(grads) == len(want_grads) == len(model.parameters())
     for got, want in zip(grads, want_grads):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("hidden", [(16,), (8, 8, 8)])
+def test_pair_tape_loss_matches_the_reference_tape(hidden):
+    # 40 rows against 120 points: one pair block of 4,800 pair rows, more
+    # than an activation block
+    model = build_model(dim=2, seed=29, with_interaction=True, with_internal=True, hidden=hidden)
+    rng = _rng(37)
+    n = 40
+    pop = rng.normal(size=(120, 2))
+    pw = rng.uniform(0.5, 1.0, size=120)
+    pw /= pw.sum()
+    x0, x1 = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    masses = rng.uniform(0.1, 1.0, size=n)
+    gmm = _unit_gmm(2)
+    loss, grads = loss_and_param_gradient(
+        model, x0, x1, masses, 0.1, scores=score(gmm, x1), populations=[(pop, pw)]
+    )
+    want_loss, want_grads = _two_pass_loss(
+        model, x0, x1, masses, 0.1, pop=pop, pw=pw, gmm=gmm, adjoint=_reference_adjoint
+    )
+    assert loss == want_loss
+    assert len(grads) == len(want_grads) == len(model.parameters())
+    for got, want in zip(grads, want_grads):
+        _assert_close_to_reference(got, want)
 
 
 @pytest.mark.parametrize("case", ["potential", "time", "interaction_beta", "subsample"])
@@ -712,6 +855,47 @@ def test_adam_descends_quadratic_toy_objective():
     before = float((p**2).sum())
     adam_step(state, [p], [2.0 * p])
     assert float((p**2).sum()) < before
+
+
+def _reference_adam(params, grads_seq, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, clip_norm=10.0):
+    # Adam array by array, as the optimizer was written before its moments
+    # became flat vectors
+    first = [np.zeros_like(p) for p in params]
+    second = [np.zeros_like(p) for p in params]
+    for step, grads in enumerate(grads_seq, start=1):
+        total = np.sqrt(sum(float((g**2).sum()) for g in grads))
+        if total > clip_norm:
+            grads = [g * (clip_norm / total) for g in grads]
+        correction1 = 1.0 - beta1**step
+        correction2 = 1.0 - beta2**step
+        for p, g, m, v in zip(params, grads, first, second):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g**2
+            p -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+    return first, second
+
+
+@pytest.mark.parametrize("scale, clipped", [(0.1, 0), (100.0, 50)])
+def test_flat_adam_matches_a_per_array_loop(scale, clipped):
+    rng = _rng(38)
+    shapes = [(4, 3), (5,), ()]
+    start = [np.array(rng.normal(size=shape)) for shape in shapes]
+    grads_seq = [[scale * rng.normal(size=shape) for shape in shapes] for _ in range(50)]
+    params = [p.copy() for p in start]
+    state = AdamState.for_params(params)
+    clips = 0
+    for grads in grads_seq:
+        clips += np.sqrt(sum(float((g**2).sum()) for g in grads)) > state.clip_norm
+        adam_step(state, params, grads)
+    assert clips == clipped
+    assert state.step == 50
+    want_params = [p.copy() for p in start]
+    want_first, want_second = _reference_adam(want_params, grads_seq)
+    for got, want in zip(params + state.first + state.second, want_params + want_first + want_second):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

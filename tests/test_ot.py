@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -230,6 +231,22 @@ def test_small_degenerate_instances_match_linprog(n, m, case, seed):
     assert transport_cost(solve_exact(mu, nu), mu, nu) == pytest.approx(want, rel=1e-9, abs=1e-12)
     # the simplex itself, also where solve_exact would take the assignment path
     simplex_certificate(a, b, cost)
+
+
+@pytest.mark.parametrize("seed", [5, 17, 21, 35, 39])
+def test_exact_plans_keep_no_rounding_mass(seed):
+    # uniform 60-90-point instances whose pivots leave masses of 1e-18 to
+    # 8e-17 on basic cells (seed 5: 80 x 84, 2.8e-17 and 8.3e-17)
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(60, 91, size=2))
+    mu = uniform_snapshot(rng.normal(size=(n, 2)), 0)
+    nu = uniform_snapshot(rng.normal(size=(m, 2)), 1)
+    plan = solve_exact(mu, nu, cost_exponent=1)
+    floor = 64 * np.finfo(np.float64).eps * max(1 / n, 1 / m)
+    assert plan.masses.min() > floor
+    check_coupling_marginals(plan, mu, nu)
+    want = linprog_oracle(mu.weights, nu.weights, cost_matrix(mu.points, nu.points, 1))
+    assert transport_cost(plan, mu, nu, cost_exponent=1) == pytest.approx(want, rel=1e-9)
 
 
 def test_simplex_route_agrees_with_assignment_on_uniform(rng):
@@ -553,6 +570,23 @@ def test_solve_counter_resets(rng):
     assert get_solve_count() == 2
     reset_solve_count()
     assert get_solve_count() == 0
+
+
+def test_solve_count_is_exact_under_parallel_coupling(rng):
+    # 11 transitions on 4 threads, switching threads as often as the
+    # interpreter allows, 20 times over: a lost update would show as a
+    # shortfall
+    snaps = [uniform_snapshot(rng.normal(size=(6, 2)), t) for t in range(12)]
+    traj = PopulationTrajectory(snaps, 0.1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            before = get_solve_count()
+            couple_trajectory(traj, OtConfig(jobs=4))
+            assert get_solve_count() - before == 11
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
