@@ -24,6 +24,13 @@ every bump of a row block.  The squared distances are expanded as
 eps * R^2 / sigma of relative precision for points R from that mean.  Row
 blocks follow ``measures.pair_chunks`` at max(C, d) entries a pair, so the
 kernel block stays within ``measures.PAIR_BUDGET``.
+
+Bump values and kernel entries go through ``measures.exp_flushed``: where
+|z - c|^2 / sigma > 707 they are exactly 0 rather than below 1e-307.  A pair
+difference gets there once it is sqrt(707 sigma) (18.8 at sigma = 0.5) from a
+center, as in populations spread more than about 10 about their mean, and
+numpy's exp costs 15-150x more there than in range; flushed, the pair mean
+costs the same at any spread.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .measures import as_batch, pair_chunks
+from .measures import as_batch, exp_flushed, pair_chunks
 
 DEFAULT_POLY_DEGREE = 4
 DEFAULT_RBF_SIGMA = 0.5
@@ -88,11 +95,11 @@ def eval_features(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
     parts = []
     for p in range(1, fm.poly_degree + 1):
         parts.append(xb**p)
-    if fm.poly_cross:
+    if fm._cross_pairs:
         parts.append(np.stack([xb[:, i] * xb[:, j] for i, j in fm._cross_pairs], axis=1))
     if fm.rbf_centers is not None:
         diff = xb[:, None, :] - fm.rbf_centers[None, :, :]
-        parts.append(np.exp(-(diff**2).sum(axis=2) / fm.rbf_sigma))
+        parts.append(exp_flushed(-(diff**2).sum(axis=2) / fm.rbf_sigma))
     out = np.concatenate(parts, axis=1)
     return out[0] if single else out
 
@@ -145,7 +152,7 @@ def jacobian_features(
             kernel += uu[:, None]
             kernel += yy
             np.divide(kernel, -fm.rbf_sigma, out=kernel)
-            np.exp(kernel, out=kernel)
+            exp_flushed(kernel, out=kernel)
             kw = kernel @ weighted
             grad = (kw[:, :1] * scale) * u - kw[:, 1:] * scale
             out[block, first_bump:] = grad.reshape(-1, n_bumps, d)

@@ -12,6 +12,7 @@ from jkoflow.features import (
     polynomial_map,
     random_centers,
 )
+from jkoflow.measures import EXP_FLOOR
 
 
 def fd_jacobian(fm, x, h=1e-6):
@@ -228,6 +229,35 @@ def test_pair_mean_keeps_precision_far_from_the_origin(rng):
     want, scale = pair_mean_reference(fm, x, points, weights)
     got = jacobian_features(fm, x, points, weights)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_pair_mean_on_a_wide_population_matches_the_loop(rng):
+    """Rows and points spread about 25 about their mean, as in the last
+    snapshot of the general_linear benchmark: many kernel arguments fall below
+    EXP_FLOOR, where the kernel is flushed to exactly 0."""
+    fm = build_default(2, include_cross=True)
+    x = rng.normal(scale=25.0 / np.sqrt(2.0), size=(8, 2))
+    points = rng.normal(scale=25.0 / np.sqrt(2.0), size=(40, 2))
+    weights = rng.uniform(0.1, 1.0, size=40)
+    weights /= weights.sum()
+    pair = x[:, None, None, :] - points[None, :, None, :] - fm.rbf_centers[None, None, :, :]
+    arguments = -(pair**2).sum(axis=3) / fm.rbf_sigma
+    assert 0.2 < np.mean(arguments < EXP_FLOOR) < 0.8
+    want, scale = pair_mean_reference(fm, x, points, weights)
+    got = jacobian_features(fm, x, points, weights)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_cross_terms_of_one_coordinate_are_empty(rng):
+    """dim 1 has no pair i < j, so poly_cross adds no feature and no column."""
+    centers = grid_centers(1, 4)
+    crossed = FeatureMap(dim=1, poly_degree=3, poly_cross=True, rbf_centers=centers)
+    plain = FeatureMap(dim=1, poly_degree=3, rbf_centers=centers)
+    x = rng.normal(size=(5, 1))
+    assert crossed.n_features == plain.n_features == 7
+    assert np.array_equal(eval_features(crossed, x), eval_features(plain, x))
+    assert np.array_equal(eval_features(crossed, x[0]), eval_features(plain, x[0]))
+    assert np.array_equal(jacobian_features(crossed, x), jacobian_features(plain, x))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,15 @@ from jkoflow import (
     split_train_test,
     uniform_snapshot,
 )
-from jkoflow.measures import as_batch, check_coupling_marginals, coupling_path
+from jkoflow.measures import (
+    EXP_FLOOR,
+    as_batch,
+    check_coupling_marginals,
+    coupling_path,
+    exp_flushed,
+    logsumexp,
+)
+from scipy.special import logsumexp as scipy_logsumexp
 
 from conftest import random_trajectory
 
@@ -215,3 +223,85 @@ def test_as_batch_lifts_a_point_and_passes_a_batch_through():
     for bad in (np.ones((5, 3)), np.ones((2, 2, 2)), np.float64(1.0)):
         with pytest.raises(ValueError, match=r"expected \(B, 2\) batch"):
             as_batch(bad, 2)
+
+
+# ---------------------------------------------------------------------------
+# exp with underflow flushed to zero
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestExpFlushed:
+    def test_bit_equal_to_np_exp_from_the_floor_up(self, rng):
+        edge = [EXP_FLOOR, np.nextafter(EXP_FLOOR, 0.0), -1e-300, -0.0, 0.0, 1.0, 709.0]
+        x = np.concatenate([edge, rng.uniform(EXP_FLOOR, 20.0, size=2000)])
+        assert np.array_equal(_bits(exp_flushed(x)), _bits(np.exp(x)))
+
+    def test_exactly_zero_below_the_floor(self):
+        below = np.array([np.nextafter(EXP_FLOOR, -np.inf), -707.5, -730.0, -745.2, -1e300])
+        assert np.all(np.exp(below) < 1e-307)
+        assert np.array_equal(_bits(exp_flushed(below)), np.zeros(below.size, dtype=np.int64))
+
+    def test_mixed_array_flushes_only_below_the_floor(self, rng):
+        x = rng.uniform(-1500.0, 5.0, size=(40, 50))
+        low = x < EXP_FLOOR
+        assert low.any() and not low.all()
+        got = exp_flushed(x)
+        assert got.shape == x.shape
+        assert np.array_equal(_bits(got[~low]), _bits(np.exp(x[~low])))
+        assert np.array_equal(_bits(got[low]), np.zeros(low.sum(), dtype=np.int64))
+
+    @pytest.mark.parametrize("with_underflow", [False, True], ids=["fast", "flushed"])
+    def test_nan_and_infinities_map_as_np_exp(self, with_underflow):
+        x = np.array([np.nan, np.inf, -np.inf, 1000.0, -1.0, -np.nan])
+        if with_underflow:
+            x = np.append(x, -800.0)
+        with np.errstate(over="ignore"):
+            got, want = exp_flushed(x), np.exp(x)
+        want[x < EXP_FLOOR] = 0.0
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_empty_arrays_keep_their_shape(self):
+        for shape in [(0,), (3, 0), (0, 4)]:
+            got = exp_flushed(np.empty(shape))
+            assert got.shape == shape and got.dtype == np.float64
+
+    @pytest.mark.parametrize("value", [-800.0, -np.inf, -1.0, 0.0, np.nan, np.inf])
+    def test_zero_d_input_gives_what_np_exp_gives(self, value):
+        for x in (np.float64(value), np.array(value), value):
+            got, want = exp_flushed(x), np.exp(x)
+            assert type(got) is type(want)
+            assert _bits(got) == _bits(0.0 if value < EXP_FLOOR else want)
+        out = np.empty(())
+        assert exp_flushed(np.array(value), out=out) is out
+        assert _bits(out) == _bits(0.0 if value < EXP_FLOOR else np.exp(value))
+
+    @pytest.mark.parametrize("low", [-1.0, -2000.0], ids=["fast", "flushed"])
+    def test_out_may_alias_the_argument(self, low, rng):
+        x = rng.uniform(low, 1.0, size=(30, 7))
+        x[0, :2] = [np.nan, -np.inf]
+        want = exp_flushed(x.copy())
+        got = exp_flushed(x, out=x)
+        assert got is x
+        assert np.array_equal(_bits(x), _bits(want))
+        buffer = np.empty_like(x)
+        assert exp_flushed(want, out=buffer) is buffer
+
+    def test_logsumexp_matches_scipy_over_slices_mixing_minus_inf_and_underflow(self, rng):
+        x = rng.uniform(-2500.0, 50.0, size=(60, 45))
+        x[rng.uniform(size=x.shape) < 0.3] = -np.inf
+        x[0] = -np.inf  # a zero-weight row
+        x[:, 0] = -np.inf  # and a zero-weight column
+        x[1] = -np.inf
+        x[1, :3] = [2.0, 2.0 + EXP_FLOOR - 1.0, 2.0 + EXP_FLOOR - 30.0]  # all but the peak flushed
+        x[2] = EXP_FLOOR - 1.0 - rng.uniform(0.0, 60.0, size=45)  # underflow against the origin only
+        assert (x[1:] - x[1:].max(axis=1, keepdims=True) < EXP_FLOOR).any()
+        for axis in (0, 1):
+            got = logsumexp(x, axis=axis)
+            with np.errstate(divide="ignore"):
+                want = scipy_logsumexp(x, axis=axis)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        assert logsumexp(x, axis=1)[0] == -np.inf
+        assert logsumexp(x, axis=1)[1] == 2.0
