@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import as_batch, exp_flushed, logsumexp
+from .measures import as_batch, logsumexp
 
 VARIANCE_FLOOR = 1e-6
 COLLAPSE_WEIGHT = 1e-10
@@ -76,7 +76,7 @@ def score(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     xb, single = as_batch(x, gmm.dim)
     z = gmm._whiten(xb)
     log_comp = gmm._component_log_densities(z)
-    resp = exp_flushed(log_comp - logsumexp(log_comp, axis=1)[:, None])
+    resp = np.exp(log_comp - logsumexp(log_comp, axis=1)[:, None])
     out = -np.einsum("bk,kbi->bi", resp, z @ gmm._whiteners)
     return out[0] if single else out
 
@@ -184,7 +184,7 @@ def fit_gmm(
         improved = ll - prev_ll
         prev_ll = ll
 
-        resp = exp_flushed(log_comp - log_norm[:, None])
+        resp = np.exp(log_comp - log_norm[:, None])
         wr = weights[:, None] * resp
         nj = wr.sum(axis=0)
         if nj.min() < COLLAPSE_WEIGHT:

@@ -25,7 +25,7 @@ eps * R^2 / sigma of relative precision for points R from that mean.  Row
 blocks follow ``measures.pair_chunks`` at max(C, d) entries a pair, so the
 kernel block stays within ``measures.PAIR_BUDGET``.
 
-Bump values and kernel entries go through ``measures.exp_flushed``: where
+The pair mean's kernel entries go through ``measures.exp_flushed``: where
 |z - c|^2 / sigma > 707 they are exactly 0 rather than below 1e-307.  A pair
 difference gets there once it is sqrt(707 sigma) (18.8 at sigma = 0.5) from a
 center, as in populations spread more than about 10 about their mean, and
@@ -99,7 +99,7 @@ def eval_features(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
         parts.append(np.stack([xb[:, i] * xb[:, j] for i, j in fm._cross_pairs], axis=1))
     if fm.rbf_centers is not None:
         diff = xb[:, None, :] - fm.rbf_centers[None, :, :]
-        parts.append(exp_flushed(-(diff**2).sum(axis=2) / fm.rbf_sigma))
+        parts.append(np.exp(-(diff**2).sum(axis=2) / fm.rbf_sigma))
     out = np.concatenate(parts, axis=1)
     return out[0] if single else out
 

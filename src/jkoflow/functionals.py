@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import as_batch, exp_flushed
+from .measures import as_batch
 
 # functions whose formula averages the first/second halves of the coordinates
 _NEEDS_HALF_SPLIT = {"holder_table", "ishigami", "friedman", "bohachevsky", "rotational"}
@@ -142,7 +142,7 @@ def _double_exp(x):
     # note the asymmetry: squared distance in the first well, plain distance in the second
     sq = ((x - _DOUBLE_EXP_SHIFT) ** 2).sum(axis=1)
     dist = np.sqrt(((x + _DOUBLE_EXP_SHIFT) ** 2).sum(axis=1))
-    return 200.0 * exp_flushed(-sq / _DOUBLE_EXP_SIGMA) + exp_flushed(-dist / _DOUBLE_EXP_SIGMA)
+    return 200.0 * np.exp(-sq / _DOUBLE_EXP_SIGMA) + np.exp(-dist / _DOUBLE_EXP_SIGMA)
 
 
 def _double_exp_grad(x):
@@ -150,11 +150,11 @@ def _double_exp_grad(x):
     diff_plus = x + _DOUBLE_EXP_SHIFT
     sq = (diff_minus**2).sum(axis=1)
     dist = np.sqrt((diff_plus**2).sum(axis=1))
-    g = 200.0 * exp_flushed(-sq / _DOUBLE_EXP_SIGMA)[:, None] * (-2.0 / _DOUBLE_EXP_SIGMA) * diff_minus
+    g = 200.0 * np.exp(-sq / _DOUBLE_EXP_SIGMA)[:, None] * (-2.0 / _DOUBLE_EXP_SIGMA) * diff_minus
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = diff_plus / dist[:, None]
     unit = np.where(dist[:, None] == 0, 0.0, unit)
-    g += exp_flushed(-dist / _DOUBLE_EXP_SIGMA)[:, None] * (-1.0 / _DOUBLE_EXP_SIGMA) * unit
+    g += np.exp(-dist / _DOUBLE_EXP_SIGMA)[:, None] * (-1.0 / _DOUBLE_EXP_SIGMA) * unit
     return g
 
 

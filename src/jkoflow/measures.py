@@ -13,9 +13,10 @@ of x - y over a population, in row blocks under one memory budget, and
 exactly 0; those results are below 1e-307.  numpy's vector exp leaves its fast
 path for such arguments: results that underflow to 0 cost about 17 ns each,
 and subnormal results 100-175 ns, against about 1.1 ns in range (2-CPU Xeon,
-numpy 2.4.6).  Gaussian kernels of spread populations and log-domain weights
-far from their slice maximum land there, so every kernel and log-density exp
-goes through it.
+numpy 2.4.6).  The Gaussian kernel of ``features.jacobian_features`` lands
+there on spread populations and goes through it.  Other exps keep ``np.exp``:
+on the benchmark workloads their arguments reach the floor rarely or never,
+and the flush showed no gain there (``tests/test_raw_exp.py`` lists them).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ COUPLING_ATOL = 1e-8
 # Xeon, OpenBLAS 0.3.31), 64k-250k were level and fastest on the general_linear
 # and general_mlp benchmark workloads; 8M, the earlier value, was up to 45% slower.
 PAIR_BUDGET = 131_072
-# exp(-707) is about 9.8e-308, just above the smallest normal float64 (2.2e-308)
+# exp(-707) is about 9.0e-308, just above the smallest normal float64 (2.2e-308)
 EXP_FLOOR = -707.0
 
 
@@ -209,14 +210,11 @@ def exp_flushed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(x))) along ``axis``, shifted by the slice maximum.  An all
     -inf slice (zero weight) gives -inf, as scipy's ``logsumexp`` does; this
-    leaner form saves scipy's per-call overhead, which dominates small arrays.
-    A term more than -``EXP_FLOOR`` below its slice maximum is flushed to 0;
-    it is < 1e-307 of that slice's sum."""
+    leaner form saves scipy's per-call overhead, which dominates small arrays."""
     peak = x.max(axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
-    shifted = x - peak
     with np.errstate(divide="ignore"):
-        return np.log(exp_flushed(shifted, out=shifted).sum(axis=axis)) + peak.squeeze(axis)
+        return np.log(np.exp(x - peak).sum(axis=axis)) + peak.squeeze(axis)
 
 
 def pair_chunks(

@@ -25,7 +25,6 @@ from .measures import (
     EmpiricalSnapshot,
     PopulationTrajectory,
     check_coupling_marginals,
-    exp_flushed,
     logsumexp,
 )
 
@@ -421,7 +420,7 @@ def solve_sinkhorn(
             max_iters,
             row_err,
         )
-    plan = _round_to_marginals(exp_flushed((f[:, None] + g[None, :] - cost) / epsilon), a, b)
+    plan = _round_to_marginals(np.exp((f[:, None] + g[None, :] - cost) / epsilon), a, b)
     src, tgt = np.nonzero(plan > 0)
     masses = plan[src, tgt]
     return Coupling(st, tt, src, tgt, masses / masses.sum(), converged=converged)

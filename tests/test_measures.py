@@ -295,7 +295,7 @@ class TestExpFlushed:
         x[0] = -np.inf  # a zero-weight row
         x[:, 0] = -np.inf  # and a zero-weight column
         x[1] = -np.inf
-        x[1, :3] = [2.0, 2.0 + EXP_FLOOR - 1.0, 2.0 + EXP_FLOOR - 30.0]  # all but the peak flushed
+        x[1, :3] = [2.0, 2.0 + EXP_FLOOR - 1.0, 2.0 + EXP_FLOOR - 30.0]  # only the peak in range
         x[2] = EXP_FLOOR - 1.0 - rng.uniform(0.0, 60.0, size=45)  # underflow against the origin only
         assert (x[1:] - x[1:].max(axis=1, keepdims=True) < EXP_FLOOR).any()
         for axis in (0, 1):

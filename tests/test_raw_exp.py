@@ -1,10 +1,12 @@
-"""Every ``np.exp`` in ``src/jkoflow`` goes through ``measures.exp_flushed``.
+"""Raw ``np.exp`` calls in ``src/jkoflow`` are the allowlisted ones only.
 
 numpy's vector exp leaves its fast path for arguments below about -707, and
-costs 15-150x more there.  ``exp_flushed`` keeps such arguments off that path,
-so a kernel or log-density exp that calls ``np.exp`` directly brings the slow
-path back on spread-out data.  This check reads the source and lists each
-raw ``np.exp`` (or ``numpy.exp``) call by module and enclosing function.  It
+costs 15-150x more there.  ``measures.exp_flushed`` keeps such arguments off
+that path; the pair-mean kernel of ``features.jacobian_features`` goes through
+it, since spread populations put most of its entries there.  Every other exp
+stays raw only with a stated reason, so a new exp on a kernel-like argument
+has to be looked at.  This check reads the source and lists each raw
+``np.exp`` (or ``numpy.exp``) call by module and enclosing function.  It
 fails when that list differs from the allowlist below, in either direction.
 """
 
@@ -29,6 +31,19 @@ ALLOWED = {
     # the holder_table envelope exp(|1 - r / pi|) is >= 1
     ("functionals", "_holder_table"): 1,
     ("functionals", "_holder_table_grad"): 1,
+    # double_exp takes exp(-|x -+ 3|^k / 20); the floor needs |x -+ 3| > 119
+    ("functionals", "_double_exp"): 2,
+    ("functionals", "_double_exp_grad"): 2,
+    # Sinkhorn and GMM log-sum-exps, the Sinkhorn plan and the GMM
+    # responsibilities: on ragged_ot no Sinkhorn argument reached the floor,
+    # and on general_mlp 1.7% of the GMM's did, in arrays of ~1,500 entries,
+    # where the flush measured no gain in fit_s
+    ("measures", "logsumexp"): 1,
+    ("ot", "solve_sinkhorn"): 1,
+    ("density", "score"): 1,
+    ("density", "fit_gmm"): 1,
+    # feature values: no benchmark workload reaches eval_features' bumps
+    ("features", "eval_features"): 1,
 }
 
 
