@@ -24,7 +24,7 @@ from .ot import (
     trajectory_emd,
     transport_cost,
 )
-from .density import GaussianMixture, fit_gmm, log_density, score
+from .density import EmReport, GaussianMixture, fit_gmm, log_density, score
 from .features import FeatureMap, build_default, grid_centers, polynomial_map
 from .datagen import (
     GenConfig,
@@ -51,6 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState",
     "Coupling",
+    "EmReport",
     "EmpiricalSnapshot",
     "EnergySpec",
     "FeatureMap",

@@ -5,11 +5,20 @@ two quantities the learners need: log-density and its spatial gradient (the
 score).  Covariances are kept positive definite by an eigenvalue floor.  A
 mixture stores W_j = L_j^{-1} (Sigma_j = L_j L_j^T) and its log-normaliser, so
 one batched z_j = W_j (x - mu_j) gives log N_j and the score.
+
+``fit_gmm`` fits a stack of T equal-count snapshots, (T, N, d) points, in one
+EM loop; an (N, d) cloud is a stack of one.  The loop keeps the particle axis
+innermost: it whitens the transposed points, z = W_j (x^T - mu_j) of shape
+(T, k, d, N), takes the log-sum-exp of the (T, k, N) log-densities over k,
+and forms each snapshot's means as one (k, N) @ (N, d) product.  Every slice
+keeps its own generator, monotonicity check, collapse re-seeds and stop, and
+leaves the stack once it converges, so a stacked fit equals the fits of its
+slices bit for bit.  The mixtures are built, and so validated, once at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,14 +30,26 @@ MAX_REINITS = 3
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+@dataclass(frozen=True)
+class EmReport:
+    """How one snapshot's EM fit ended."""
+
+    iterations: int
+    # stopped at max_iters while the log-likelihood still rose by tol or more
+    capped: bool
+    reinits: int
+
+
 @dataclass
 class GaussianMixture:
     """A k-component full-covariance Gaussian mixture in R^d.  The whitening
-    matrices are derived at construction: build a new mixture, never edit one."""
+    matrices are derived at construction: build a new mixture, never edit one.
+    ``em`` says how ``fit_gmm`` ended on a fitted mixture; None otherwise."""
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
+    em: EmReport | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -42,11 +63,7 @@ class GaussianMixture:
             raise ValueError("mixture parameters must be finite")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9 or np.any(self.weights < 0):
             raise ValueError("mixture weights must be a probability vector")
-        # raises LinAlgError unless every covariance is positive definite
-        chol = np.linalg.cholesky(self.covariances)
-        self._whiteners = np.linalg.inv(chol)
-        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        self._log_norms = -0.5 * (self.dim * _LOG_2PI + log_det)
+        self._whiteners, self._log_norms = _whitening(self.covariances)
 
     @property
     def dim(self) -> int:
@@ -61,6 +78,15 @@ class GaussianMixture:
         with np.errstate(divide="ignore"):
             log_w = np.log(self.weights)
         return (log_w + self._log_norms)[None, :] - 0.5 * np.einsum("kbi,kbi->bk", z, z)
+
+
+def _whitening(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whiteners W = L^{-1} of a (..., d, d) stack Sigma = L L^T, and the
+    log-normalisers -0.5 (d log 2 pi + log det Sigma).  Raises LinAlgError
+    unless every covariance is positive definite."""
+    chol = np.linalg.cholesky(covs)
+    log_det = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return np.linalg.inv(chol), -0.5 * (covs.shape[-1] * _LOG_2PI + log_det)
 
 
 def log_density(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray | float:
@@ -82,14 +108,14 @@ def score(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
 
 
 def _floor_covariance(covs: np.ndarray) -> np.ndarray:
-    """Symmetrize a (k, d, d) stack; clip each matrix's eigenvalues at the floor.
+    """Symmetrize a (..., d, d) stack; clip each matrix's eigenvalues at the floor.
 
     Clipping the sample covariance's eigenvalues is the exact maximiser of the
     Gaussian likelihood under that floor, so EM stays monotone.
     """
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    covs = 0.5 * (covs + covs.swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(covs)
-    low = vals.min(axis=1) < VARIANCE_FLOOR
+    low = vals.min(axis=-1) < VARIANCE_FLOOR
     if low.any():
         vecs, vals = vecs[low], np.maximum(vals[low], VARIANCE_FLOOR)
         floored = (vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1)
@@ -123,12 +149,17 @@ def _global_covariance(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return _floor_covariance(((weights[:, None] * centered).T @ centered)[None])[0]
 
 
-def _m_step(points: np.ndarray, wr: np.ndarray, nj: np.ndarray) -> GaussianMixture:
-    """EM's M-step from the (N, k) weighted responsibilities wr, nj = wr.sum(0)."""
-    means = (wr.T @ points) / nj[:, None]
-    centered = points[None, :, :] - means[:, None, :]
-    covs = (wr.T[:, :, None] * centered).transpose(0, 2, 1) @ centered / nj[:, None, None]
-    return GaussianMixture(nj / nj.sum(), means, _floor_covariance(covs))
+def _m_step(
+    points: np.ndarray, wr: np.ndarray, nj: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """EM's M-step on a stack: mixture weights (T, k), means (T, k, d) and
+    floored covariances (T, k, d, d) from the (T, N, d) points and the
+    (T, k, N) weighted responsibilities wr, nj = wr.sum(-1)."""
+    means = (wr @ points) / nj[..., None]
+    # centred in the (d, N) layout, so the N-long axis stays innermost
+    centered = np.ascontiguousarray(points.swapaxes(-1, -2))[:, None] - means[..., None]
+    covs = (centered * wr[:, :, None, :]) @ centered.swapaxes(-1, -2) / nj[..., None, None]
+    return nj / nj.sum(axis=-1, keepdims=True), means, _floor_covariance(covs)
 
 
 def fit_gmm(
@@ -138,74 +169,113 @@ def fit_gmm(
     seed: int = 0,
     max_iters: int = 200,
     tol: float = 1e-6,
-) -> GaussianMixture:
-    """Fit a k-component mixture to weighted points by EM.
+) -> GaussianMixture | list[GaussianMixture]:
+    """Fit a k-component mixture to weighted points by EM, or one to each
+    snapshot of a stack.
 
-    Deterministic given the seed.  The weighted log-likelihood is asserted to
-    be non-decreasing on every iteration; components whose weight collapses
-    below 1e-10 are re-seeded from the data at most three times before the
-    fit is abandoned with an error.
+    Deterministic given the seed.  Each snapshot's weighted log-likelihood is
+    asserted to be non-decreasing on every iteration; components whose weight
+    collapses below 1e-10 are re-seeded from the data at most three times
+    before the fit is abandoned with an error.  Each fitted mixture's ``em``
+    records its iteration count, whether it stopped at ``max_iters`` and its
+    re-seeds.
 
     Args:
-        points: (N, d) particle positions.
-        weights: (N,) probability weights; uniform when omitted.
+        points: (N, d) particle positions, or a (T, N, d) stack of snapshots.
+        weights: (N,) probability weights, or (T, N) for a stack; uniform
+            when omitted.
         k: component count, at most N.
-        seed: RNG seed for k-means++ seeding and collapse re-seeding.
+        seed: RNG seed for k-means++ seeding and collapse re-seeding; every
+            snapshot of a stack draws from its own generator of this seed.
         max_iters: EM iteration cap.
         tol: stop once the log-likelihood improves by less than this.
+
+    Returns:
+        One mixture for (N, d) points, a list of T for a stack.
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError(f"points must be (N, d), got shape {points.shape}")
-    n = points.shape[0]
+    if points.ndim not in (2, 3):
+        raise ValueError(f"points must be (N, d) or (T, N, d), got shape {points.shape}")
+    n = points.shape[-2]
     if weights is None:
-        weights = np.full(n, 1.0 / n)
+        weights = np.full(points.shape[:-1], 1.0 / n)
     weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != points.shape[:-1]:
+        raise ValueError(f"weights of shape {weights.shape} do not match points {points.shape}")
+    single = points.ndim == 2
+    stack, weights = (points[None], weights[None]) if single else (points, weights)
+    n_snaps = stack.shape[0]
     if n < k:
         raise ValueError(f"need at least k={k} points, got {n}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xD1F,)))
 
-    global_cov = _global_covariance(points, weights)
-    means = _kmeans_pp_means(points, weights, k, rng)
-    covs = np.repeat(global_cov[None, :, :], k, axis=0)
-    mix = np.full(k, 1.0 / k)
-    gmm = GaussianMixture(mix, means, covs)
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xD1F,)))
+        for _ in range(n_snaps)
+    ]
+    global_covs = np.stack([_global_covariance(p, w) for p, w in zip(stack, weights)])
+    means = np.stack([_kmeans_pp_means(p, w, k, r) for p, w, r in zip(stack, weights, rngs)])
+    covs = np.repeat(global_covs[:, None], k, axis=1)
+    mix = np.full((n_snaps, k), 1.0 / k)
 
-    prev_ll = -np.inf
-    reinits = 0
-    for _ in range(max_iters):
-        log_comp = gmm._component_log_densities(gmm._whiten(points))
+    # the live stack: slices still iterating, with their index in the input
+    live = np.arange(n_snaps)
+    x_t = np.ascontiguousarray(stack.swapaxes(1, 2))
+    prev_ll = np.full(n_snaps, -np.inf)
+    reinits = np.zeros(n_snaps, dtype=np.int64)
+    fitted: list[GaussianMixture | None] = [None] * n_snaps
+    for iteration in range(1, max_iters + 1):
+        whiteners, log_norms = _whitening(covs)
+        z = whiteners @ (x_t[:, None] - means[..., None])
+        # an M-step leaves every weight >= COLLAPSE_WEIGHT and a re-seed keeps
+        # them positive, so the log is finite
+        log_comp = (np.log(mix) + log_norms)[..., None] - 0.5 * np.einsum("tkdn,tkdn->tkn", z, z)
         log_norm = logsumexp(log_comp, axis=1)
-        ll = float(weights @ log_norm)
-        if not ll >= prev_ll - 1e-8:
+        ll = (weights * log_norm).sum(axis=1)
+        fell = np.flatnonzero(~(ll >= prev_ll - 1e-8))
+        if fell.size:
+            i = fell[0]
             raise AssertionError(
-                f"EM log-likelihood decreased: {prev_ll!r} -> {ll!r}"
+                f"EM log-likelihood of snapshot {live[i]} decreased: "
+                f"{prev_ll[i]!r} -> {ll[i]!r}"
             )
         improved = ll - prev_ll
         prev_ll = ll
 
-        resp = np.exp(log_comp - log_norm[:, None])
-        wr = weights[:, None] * resp
-        nj = wr.sum(axis=0)
-        if nj.min() < COLLAPSE_WEIGHT:
-            reinits += 1
-            if reinits > MAX_REINITS:
-                raise RuntimeError(
-                    f"mixture component collapsed {reinits} times; "
-                    "reduce k or provide more spread-out data"
-                )
-            dead = np.nonzero(nj < COLLAPSE_WEIGHT)[0]
-            means, covs, mix = gmm.means.copy(), gmm.covariances.copy(), gmm.weights.copy()
-            for j in dead:
-                means[j] = points[int(rng.choice(n, p=weights))]
-            covs[dead] = global_cov
-            mix[dead] = 1.0 / k
-            gmm = GaussianMixture(mix / mix.sum(), means, covs)
-            prev_ll = -np.inf  # restart the monotonicity baseline after surgery
-            continue
+        wr = weights[:, None, :] * np.exp(log_comp - log_norm[:, None, :])
+        nj = wr.sum(axis=2)
+        collapsed = nj.min(axis=1) < COLLAPSE_WEIGHT
+        if collapsed.any():
+            kept = ~collapsed
+            mix[kept], means[kept], covs[kept] = _m_step(stack[kept], wr[kept], nj[kept])
+            for i in np.flatnonzero(collapsed):
+                reinits[i] += 1
+                if reinits[i] > MAX_REINITS:
+                    raise RuntimeError(
+                        f"mixture component of snapshot {live[i]} collapsed "
+                        f"{reinits[i]} times; reduce k or provide more spread-out data"
+                    )
+                dead = np.flatnonzero(nj[i] < COLLAPSE_WEIGHT)
+                for j in dead:
+                    means[i, j] = stack[i, int(rngs[i].choice(n, p=weights[i]))]
+                covs[i, dead] = global_covs[i]
+                mix[i, dead] = 1.0 / k
+                mix[i] /= mix[i].sum()
+                prev_ll[i] = -np.inf  # restart the monotonicity baseline after surgery
+        else:
+            mix, means, covs = _m_step(stack, wr, nj)
 
-        gmm = _m_step(points, wr, nj)
-
-        if improved < tol and np.isfinite(improved):
-            break
-    return gmm
+        converged = ~collapsed & (improved < tol) & np.isfinite(improved)
+        ended = converged | (iteration == max_iters)
+        for i in np.flatnonzero(ended):
+            report = EmReport(iteration, not converged[i], int(reinits[i]))
+            fitted[live[i]] = GaussianMixture(mix[i].copy(), means[i].copy(), covs[i].copy(), report)
+        if ended.any():
+            going = ~ended
+            live, stack, x_t, weights, global_covs, mix, means, covs, prev_ll, reinits = (
+                a[going]
+                for a in (live, stack, x_t, weights, global_covs, mix, means, covs, prev_ll, reinits)
+            )
+            rngs = [r for r, keep in zip(rngs, going) if keep]
+            if not live.size:
+                break
+    return fitted[0] if single else fitted

@@ -17,8 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .measures import (
     Coupling,
@@ -82,6 +80,9 @@ class OtConfig:
 
 
 def cost_matrix(x: np.ndarray, y: np.ndarray, cost_exponent: int = 2) -> np.ndarray:
+    # scipy is imported where OT runs, so ``import jkoflow`` does not pay for it
+    from scipy.spatial.distance import cdist
+
     if cost_exponent == 2:
         return cdist(x, y, "sqeuclidean")
     if cost_exponent == 1:
@@ -342,6 +343,8 @@ def solve_exact(
     cost = cost_matrix(source.points, target.points, cost_exponent)
     n, m = cost.shape
     if n == m and _is_uniform(source.weights) and _is_uniform(target.weights):
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(cost)
         masses = np.full(n, 1.0 / n)
         coupling = Coupling(st, tt, rows, cols, masses)

@@ -22,6 +22,7 @@ that generates data from the true energies; it is importable from here too.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,11 +31,13 @@ import numpy as np
 
 from . import ot
 from .datagen import predict
-from .density import GaussianMixture, fit_gmm, score
+from .density import EmReport, GaussianMixture, fit_gmm, score
 from .features import FeatureMap, build_default
 from .linear_solver import LinearEnergyModel, fit_linear
 from .measures import PopulationTrajectory
 from .nn import AdamState, MlpEnergyModel, adam_step, build_model, loss_and_param_gradient
+
+logger = logging.getLogger(__name__)
 
 VARIANTS = (
     "star",
@@ -97,16 +100,35 @@ class FitResult:
     loss_history: list[float]
     couple_seconds: float
     train_seconds: float
+    # how EM ended on each of snapshots 1..T, in order; empty when the
+    # variant fits no density
+    em: list[EmReport] = field(default_factory=list)
 
 
 def _fit_gmms(
     train: PopulationTrajectory, cfg: TrainConfig
 ) -> list[GaussianMixture | None]:
-    """Density estimates for snapshots 1..T (index 0 is never queried)."""
-    gmms: list[GaussianMixture | None] = [None]
-    for snap in train.snapshots[1:]:
-        k = min(cfg.gmm_k, snap.n_particles)
-        gmms.append(fit_gmm(snap.points, snap.weights, k=k, seed=cfg.seed))
+    """Density estimates for snapshots 1..T (index 0 is never queried), one
+    stacked ``fit_gmm`` call per distinct particle count."""
+    by_count: dict[int, list[int]] = {}
+    for t, snap in enumerate(train.snapshots[1:], start=1):
+        by_count.setdefault(snap.n_particles, []).append(t)
+    gmms: list[GaussianMixture | None] = [None] * len(train.snapshots)
+    for n, steps in by_count.items():
+        snaps = [train.snapshots[t] for t in steps]
+        fitted = fit_gmm(
+            np.stack([snap.points for snap in snaps]),
+            np.stack([snap.weights for snap in snaps]),
+            k=min(cfg.gmm_k, n),
+            seed=cfg.seed,
+        )
+        for t, gmm in zip(steps, fitted):
+            gmms[t] = gmm
+    capped = [t for t, gmm in enumerate(gmms[1:], start=1) if gmm.em.capped]
+    if capped:
+        logger.warning(
+            "EM stopped at its iteration cap before converging on snapshots %s", capped
+        )
     return gmms
 
 
@@ -121,6 +143,7 @@ def fit(train: PopulationTrajectory, cfg: TrainConfig) -> FitResult:
     t1 = time.perf_counter()
     internal = cfg.variant in _INTERNAL_VARIANTS and not cfg.pin_internal
     gmms = _fit_gmms(train, cfg) if internal else None
+    em = [gmm.em for gmm in gmms[1:]] if gmms is not None else []
 
     if cfg.variant in _LINEAR_VARIANTS:
         potential_map = cfg.potential_features or build_default(train.dim)
@@ -138,7 +161,7 @@ def fit(train: PopulationTrajectory, cfg: TrainConfig) -> FitResult:
     else:
         model, history = _fit_mlp(train, couplings, gmms, cfg, internal)
     train_seconds = time.perf_counter() - t1
-    return FitResult(model, history, couple_seconds, train_seconds)
+    return FitResult(model, history, couple_seconds, train_seconds, em)
 
 
 def _fit_mlp(

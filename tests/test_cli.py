@@ -821,3 +821,23 @@ def test_module_entry_point_runs_without_install():
     assert proc.returncode == 0, proc.stderr
     for name in ("lightspeed", "scaling", "general", "time-varying", "observability"):
         assert name in proc.stdout
+
+
+def test_import_and_generate_load_no_scipy(tmp_path):
+    # scipy is imported where optimal transport runs, not by ``import jkoflow``
+    src = str(Path(jkoflow.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import jkoflow\n"
+        "from jkoflow.cli import main\n"
+        f"code = main(['generate', '--potential', 'sphere', '--particles', '10', "
+        f"'--steps', '1', '--seed', '1', '--out', {str(tmp_path / 'd')!r}])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "d" / "train" / "snapshot_00001.csv").is_file()

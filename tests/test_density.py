@@ -163,19 +163,21 @@ def test_m_step_matches_per_component_reference(rng, n, d, k, degenerate):
         resp[:, :2] = 0.0
         resp[:2, :2] = 1.0
         resp[:2, 2:] = 0.0
-    wr = weights[:, None] * resp
-    nj = wr.sum(axis=0)
-    gmm = density_mod._m_step(points, wr, nj)
-    means = (wr.T @ points) / nj[:, None]
+    # the EM loop's layout: (k, N) responsibilities, particles innermost
+    wr = np.ascontiguousarray((weights[:, None] * resp).T)
+    nj = wr.sum(axis=1)
+    mix, got_means, got_covs = density_mod._m_step(points[None], wr[None], nj[None])
+    means = (wr @ points) / nj[:, None]
+    x_t = np.ascontiguousarray(points.T)
     covs = np.empty((k, d, d))
     for j in range(k):
-        centered = points - means[j]
-        covs[j] = floor_one_covariance((wr[:, j][:, None] * centered).T @ centered / nj[j])
+        centered = x_t - means[j][:, None]
+        covs[j] = floor_one_covariance((centered * wr[j]) @ centered.T / nj[j])
     if degenerate:
         assert np.linalg.eigvalsh(covs[:2]).min() == pytest.approx(VARIANCE_FLOOR)
-    np.testing.assert_array_equal(gmm.weights, nj / nj.sum())
-    np.testing.assert_array_equal(gmm.means, means)
-    np.testing.assert_array_equal(gmm.covariances, covs)
+    np.testing.assert_array_equal(mix[0], nj / nj.sum())
+    np.testing.assert_array_equal(got_means[0], means)
+    np.testing.assert_array_equal(got_covs[0], covs)
 
 
 def test_collapsed_component_is_reseeded(rng, monkeypatch):
@@ -192,6 +194,88 @@ def test_collapsed_component_is_reseeded(rng, monkeypatch):
     gmm = fit_gmm(points, k=2, seed=0)
     assert np.all(np.abs(gmm.means) < 10.0)
     assert np.all(gmm.weights > 1e-3)
+    assert gmm.em.reinits == 1
+
+
+# ---------------------------------------------------------------------------
+# stacked fits
+
+
+def assert_same_fit(got, want):
+    np.testing.assert_array_equal(got.weights, want.weights)
+    np.testing.assert_array_equal(got.means, want.means)
+    np.testing.assert_array_equal(got.covariances, want.covariances)
+    assert got.em == want.em
+
+
+def diffusion_snapshots(seed):
+    """Snapshots 1..5 of a sphere + sphere trajectory with beta = 0.1, 150 each."""
+    sphere = GroundTruthFunction("sphere", 2)
+    train, _ = generate(GenConfig(
+        spec=EnergySpec(potential=sphere, interaction=sphere, beta=0.1),
+        n_particles=300, dim=2, timesteps=5, tau=0.01, seed=seed,
+    ))
+    snaps = train.snapshots[1:]
+    return np.stack([s.points for s in snaps]), np.stack([s.weights for s in snaps])
+
+
+def test_stacked_fit_equals_per_slice_fits_that_stop_apart():
+    points, weights = diffusion_snapshots(201)
+    stacked = fit_gmm(points, weights, k=10, seed=201)
+    assert isinstance(stacked, list) and len(stacked) == 5
+    for got, p, w in zip(stacked, points, weights):
+        assert_same_fit(got, fit_gmm(p, w, k=10, seed=201))
+    # the slices leave the stack at different iterations, none at the cap
+    iterations = [gmm.em.iterations for gmm in stacked]
+    assert len(set(iterations)) == 5
+    assert not any(gmm.em.capped for gmm in stacked)
+
+
+def test_stacked_fit_reports_the_capped_slices():
+    points, weights = diffusion_snapshots(201)
+    stacked = fit_gmm(points, weights, k=10, seed=201, max_iters=100)
+    # snapshot 2 converges at iteration 92; the others reach the cap
+    assert [gmm.em.iterations for gmm in stacked] == [100, 92, 100, 100, 100]
+    assert [gmm.em.capped for gmm in stacked] == [True, False, True, True, True]
+    for got, p, w in zip(stacked, points, weights):
+        assert_same_fit(got, fit_gmm(p, w, k=10, seed=201, max_iters=100))
+
+
+def test_one_collapsing_slice_reseeds_alone(rng, monkeypatch):
+    points = np.stack([rng.normal(size=(100, 1)) * scale for scale in (1.0, 2.0, 0.5)])
+    original = density_mod._kmeans_pp_means
+
+    def sabotage(pts, weights, k, seeding_rng):
+        # doom one seed of the middle slice only, stacked or alone
+        means = original(pts, weights, k, seeding_rng)
+        if np.array_equal(pts, points[1]):
+            means[0] = 1e8
+        return means
+
+    monkeypatch.setattr(density_mod, "_kmeans_pp_means", sabotage)
+    stacked = fit_gmm(points, k=2, seed=0)
+    assert [gmm.em.reinits for gmm in stacked] == [0, 1, 0]
+    for got, p in zip(stacked, points):
+        assert_same_fit(got, fit_gmm(p, k=2, seed=0))
+    assert np.all(np.abs(stacked[1].means) < 20.0)
+
+
+def test_unstacked_points_give_one_mixture(rng):
+    points = rng.normal(size=(60, 2))
+    single = fit_gmm(points, k=3, seed=4)
+    assert isinstance(single, GaussianMixture)
+    (stacked,) = fit_gmm(points[None], k=3, seed=4)
+    assert_same_fit(single, stacked)
+
+
+@pytest.mark.parametrize(
+    "points, weights",
+    [(np.ones((2, 10, 1)), np.full(10, 0.1)), (np.ones((10, 1)), np.full((1, 10), 0.1)),
+     (np.ones(10), None), (np.ones((1, 2, 10, 1)), None)],
+)
+def test_mismatched_shapes_rejected(points, weights):
+    with pytest.raises(ValueError, match="points|weights"):
+        fit_gmm(points, weights, k=1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,21 @@ deterministic run.
 
 from __future__ import annotations
 
+import functools
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from jkoflow import ot
+import jkoflow.trainer as trainer_mod
+from jkoflow import density, ot
 from jkoflow.datagen import SCHEMES, GatedQuadratic, GenConfig, _step_rng, generate
 from jkoflow.density import GaussianMixture, score
 from jkoflow.features import polynomial_map
 from jkoflow.functionals import EnergySpec, GroundTruthFunction
-from jkoflow.linear_solver import LinearEnergyModel
-from jkoflow.measures import PopulationTrajectory, uniform_snapshot
+from jkoflow.linear_solver import LinearEnergyModel, fit_linear
+from jkoflow.measures import EmpiricalSnapshot, PopulationTrajectory, uniform_snapshot
 from jkoflow.nn import MlpEnergyModel, build_model, loss_and_param_gradient
 from jkoflow.trainer import (
     TrainConfig,
@@ -136,6 +139,66 @@ def test_star_linear_builds_all_blocks_and_is_deterministic():
     ))
     assert pinned.model.use_internal is False
     assert pinned.model.n_active == 3
+
+
+def _ragged_diffusion_trajectory(counts: list[int]) -> PopulationTrajectory:
+    """A sphere + sphere trajectory with beta = 0.1, snapshot t cut to counts[t]
+    particles with random weights."""
+    sphere = GroundTruthFunction("sphere", 2)
+    train, _ = generate(GenConfig(
+        spec=EnergySpec(potential=sphere, interaction=sphere, beta=0.1),
+        n_particles=160, dim=2, timesteps=len(counts) - 1, tau=0.01, seed=5,
+    ))
+    rng = np.random.default_rng(5)
+    snaps = []
+    for snap, count in zip(train.snapshots, counts):
+        weights = rng.uniform(0.5, 1.5, size=count)
+        snaps.append(EmpiricalSnapshot(snap.points[:count], weights / weights.sum(), snap.time_index))
+    return PopulationTrajectory(snaps, train.tau)
+
+
+def test_stacked_densities_match_per_snapshot_fits_on_ragged_data(monkeypatch):
+    # snapshots 1..5 hold 70, 60, 70, 50, 60 particles: three stacked fits
+    traj = _ragged_diffusion_trajectory([80, 70, 60, 70, 50, 60])
+    cfg = TrainConfig(variant="star_linear", gmm_k=4, seed=2)
+    stacks, solved = [], []
+
+    def spy_gmm(points, weights, **kwargs):
+        stacks.append(points.shape[:2])
+        return density.fit_gmm(points, weights, **kwargs)
+
+    def spy_linear(template, train, couplings, gmms):
+        solved.append(gmms)
+        return fit_linear(template, train, couplings, gmms)
+
+    monkeypatch.setattr(trainer_mod, "fit_gmm", spy_gmm)
+    monkeypatch.setattr(trainer_mod, "fit_linear", spy_linear)
+    result = fit(traj, cfg)
+    assert stacks == [(2, 70), (2, 60), (1, 50)]
+    (gmms,) = solved
+    assert gmms[0] is None
+    for gmm, snap in zip(gmms[1:], traj.snapshots[1:]):
+        alone = density.fit_gmm(snap.points, snap.weights, k=4, seed=2)
+        np.testing.assert_array_equal(gmm.weights, alone.weights)
+        np.testing.assert_array_equal(gmm.means, alone.means)
+        np.testing.assert_array_equal(gmm.covariances, alone.covariances)
+        assert gmm.em == alone.em
+    assert result.em == [gmm.em for gmm in gmms[1:]]
+    assert fit(traj, TrainConfig(variant="star_linear", pin_internal=True)).em == []
+
+
+def test_fit_records_and_warns_on_capped_em(monkeypatch, caplog):
+    traj = _ragged_diffusion_trajectory([80, 70, 60, 70, 50, 60])
+    monkeypatch.setattr(
+        trainer_mod, "fit_gmm", functools.partial(density.fit_gmm, max_iters=3)
+    )
+    with caplog.at_level(logging.WARNING, logger="jkoflow.trainer"):
+        result = fit(traj, TrainConfig(variant="star_linear", gmm_k=4))
+    assert [(r.iterations, r.capped) for r in result.em] == [(3, True)] * 5
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        "EM stopped at its iteration cap before converging on snapshots [1, 2, 3, 4, 5]"
+    ]
 
 
 # ---------------------------------------------------------------------------
