@@ -178,7 +178,9 @@ def fit_gmm(
     collapses below 1e-10 are re-seeded from the data at most three times
     before the fit is abandoned with an error.  Each fitted mixture's ``em``
     records its iteration count, whether it stopped at ``max_iters`` and its
-    re-seeds.
+    re-seeds.  The loop's temporaries hold T * k * d * N entries, T times
+    those of one snapshot, so the caller bounds memory by the stacks it
+    passes (``trainer`` splits its stacks to a fixed budget).
 
     Args:
         points: (N, d) particle positions, or a (T, N, d) stack of snapshots.
@@ -187,7 +189,7 @@ def fit_gmm(
         k: component count, at most N.
         seed: RNG seed for k-means++ seeding and collapse re-seeding; every
             snapshot of a stack draws from its own generator of this seed.
-        max_iters: EM iteration cap.
+        max_iters: EM iteration cap, at least 1.
         tol: stop once the log-likelihood improves by less than this.
 
     Returns:
@@ -207,6 +209,8 @@ def fit_gmm(
     n_snaps = stack.shape[0]
     if n < k:
         raise ValueError(f"need at least k={k} points, got {n}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
 
     rngs = [
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xD1F,)))

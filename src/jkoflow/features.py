@@ -134,8 +134,12 @@ def jacobian_features(
         yc = points - shift
         weighted = np.column_stack([weights, weights[:, None] * yc])
         yy = (yc**2).sum(axis=1)
+        ycT = -2.0 * yc.T
         scale = -2.0 / fm.rbf_sigma
         first_bump = fm.n_features - n_bumps
+        # one kernel buffer for all blocks, sized by the first (the widest), so
+        # a call page-faults for one block at most, whatever the heap's history
+        buffer = None
     else:
         n_bumps = 0
     for block, diff in pair_chunks(xb, points, max(n_bumps, d)):
@@ -148,7 +152,9 @@ def jacobian_features(
             u = (xb[block] - shift)[:, None, :] - fm.rbf_centers[None, :, :]
             uu = (u**2).sum(axis=2).reshape(-1)
             u = u.reshape(-1, d)
-            kernel = u @ (-2.0 * yc.T)
+            if buffer is None:
+                buffer = np.empty((u.shape[0], points.shape[0]))
+            kernel = np.matmul(u, ycT, out=buffer[: u.shape[0]])
             kernel += uu[:, None]
             kernel += yy
             np.divide(kernel, -fm.rbf_sigma, out=kernel)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ot
+from . import measures, ot
 from .datagen import predict
 from .density import EmReport, GaussianMixture, fit_gmm, score
 from .features import FeatureMap, build_default
@@ -109,21 +109,27 @@ def _fit_gmms(
     train: PopulationTrajectory, cfg: TrainConfig
 ) -> list[GaussianMixture | None]:
     """Density estimates for snapshots 1..T (index 0 is never queried), one
-    stacked ``fit_gmm`` call per distinct particle count."""
+    stacked ``fit_gmm`` call per distinct particle count.  EM's temporaries
+    hold T * k * d * N entries for a stack of T, so a group of equal-count
+    snapshots is split into stacks within ``measures.PAIR_BUDGET`` entries,
+    one snapshot a stack at the least."""
     by_count: dict[int, list[int]] = {}
     for t, snap in enumerate(train.snapshots[1:], start=1):
         by_count.setdefault(snap.n_particles, []).append(t)
     gmms: list[GaussianMixture | None] = [None] * len(train.snapshots)
     for n, steps in by_count.items():
-        snaps = [train.snapshots[t] for t in steps]
-        fitted = fit_gmm(
-            np.stack([snap.points for snap in snaps]),
-            np.stack([snap.weights for snap in snaps]),
-            k=min(cfg.gmm_k, n),
-            seed=cfg.seed,
-        )
-        for t, gmm in zip(steps, fitted):
-            gmms[t] = gmm
+        k = min(cfg.gmm_k, n)
+        per_stack = max(1, measures.PAIR_BUDGET // (k * train.dim * n))
+        for start in range(0, len(steps), per_stack):
+            stack = steps[start : start + per_stack]
+            fitted = fit_gmm(
+                np.stack([train.snapshots[t].points for t in stack]),
+                np.stack([train.snapshots[t].weights for t in stack]),
+                k=k,
+                seed=cfg.seed,
+            )
+            for t, gmm in zip(stack, fitted):
+                gmms[t] = gmm
     capped = [t for t, gmm in enumerate(gmms[1:], start=1) if gmm.em.capped]
     if capped:
         logger.warning(

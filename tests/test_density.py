@@ -278,6 +278,12 @@ def test_mismatched_shapes_rejected(points, weights):
         fit_gmm(points, weights, k=1)
 
 
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_max_iters_below_one_rejected(rng, max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        fit_gmm(rng.normal(size=(20, 2)), k=2, max_iters=max_iters)
+
+
 # ---------------------------------------------------------------------------
 # log-density
 

@@ -187,6 +187,30 @@ def test_stacked_densities_match_per_snapshot_fits_on_ragged_data(monkeypatch):
     assert fit(traj, TrainConfig(variant="star_linear", pin_internal=True)).em == []
 
 
+def test_equal_count_groups_split_to_the_stack_budget(monkeypatch):
+    # snapshots 1..4 hold 60, 60, 60, 50 particles; k * d * N is 480 at N = 60
+    traj = _ragged_diffusion_trajectory([80, 60, 60, 60, 50])
+    cfg = TrainConfig(variant="star_linear", gmm_k=4, seed=2)
+    stacks = []
+
+    def spy_gmm(points, weights, **kwargs):
+        stacks.append(points.shape[:2])
+        return density.fit_gmm(points, weights, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "fit_gmm", spy_gmm)
+    whole = trainer_mod._fit_gmms(traj, cfg)
+    assert stacks == [(3, 60), (1, 50)]
+    stacks.clear()
+    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 2 * 480)
+    split = trainer_mod._fit_gmms(traj, cfg)
+    assert stacks == [(2, 60), (1, 60), (1, 50)]
+    for a, b in zip(whole[1:], split[1:]):
+        np.testing.assert_array_equal(a.weights, b.weights)
+        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a.covariances, b.covariances)
+        assert a.em == b.em
+
+
 def test_fit_records_and_warns_on_capped_em(monkeypatch, caplog):
     traj = _ragged_diffusion_trajectory([80, 70, 60, 70, 50, 60])
     monkeypatch.setattr(
