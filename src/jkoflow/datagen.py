@@ -6,9 +6,11 @@ and a fitted model when predicting.  The forward (explicit) step is
     x' = x - tau * grad_V(x) - tau * mean_y grad_U(x - y) + sqrt(2 tau beta) * n,
 with the interaction averaged over the full current population, self included
 (the difference at zero follows the kink convention of the energy).  The
-backward (implicit) step instead solves x' = x - tau * grad_V(x', t') per
-particle, which is what a minimizing-movement update looks like to first
-order; it is the right generator when the potential changes over time.
+backward (implicit) step instead solves the same drift at the new cloud,
+    x' = x - tau * grad_V(x', t') - tau * mean_y' grad_U(x' - y'),
+the first-order condition of a JKO step without diffusion; it is also the
+right generator when the potential changes over time.  Where it does not
+converge, as with stiff interactions, it raises ``RuntimeError``.
 
 Noise is counter-based: the normal draw for step t depends only on
 (seed, t, particle index), so trajectories are reproducible regardless of
@@ -29,9 +31,6 @@ IMPLICIT_TOL = 1e-8
 IMPLICIT_MAX_ITERS = 200
 IMPLICIT_DAMPING = 0.5
 SCHEMES = ("explicit", "implicit")
-# where each kind of energy keeps its interaction term: MlpEnergyModel,
-# LinearEnergyModel, EnergySpec
-_INTERACTION_TERMS = ("interaction_net", "interaction_map", "interaction")
 
 GradFn = Callable[[np.ndarray, float | None], np.ndarray]
 
@@ -61,10 +60,8 @@ class GenConfig:
             raise ValueError("init_low must be strictly below init_high")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be 'explicit' or 'implicit', got {self.scheme!r}")
-        if self.scheme == "implicit" and (
-            self.spec.interaction is not None or self.spec.beta > 0
-        ):
-            raise ValueError("implicit generation supports potential-only energies")
+        if self.scheme == "implicit" and self.spec.beta > 0:
+            raise ValueError("implicit generation takes no diffusion (beta must be 0)")
         spec_dim = self.spec.dim
         if spec_dim is not None and spec_dim != self.dim:
             raise ValueError(f"energy dim {spec_dim} does not match requested dim {self.dim}")
@@ -92,12 +89,12 @@ def implicit_step(
     tau: float,
     t_next: float | None = None,
 ) -> np.ndarray:
-    """Solve x' = x - tau * grad(x', t_next) for each particle.
+    """Solve x' = x - tau * grad(x', t_next) for the whole cloud.
 
-    Damped fixed-point iteration from the warm start x; rows that have not
-    reached the residual tolerance afterwards are polished by adaptive
-    gradient descent on the proximal objective (whose gradient is exactly the
-    fixed-point residual).  Raises if any row still violates the tolerance.
+    Damped fixed-point iteration from the warm start x, then, if a row is
+    still off, per-row step sizes on residuals computed fresh from the whole
+    cloud, so a drift that couples rows is met on every row.  Raises if any
+    row still violates the tolerance.
     """
     x = points.copy()
     for _ in range(IMPLICIT_MAX_ITERS):
@@ -108,21 +105,18 @@ def implicit_step(
     # fallback: per-row step sizes, shrink on any residual increase and
     # regrow after accepted steps so a single bad transient cannot stall rows
     eta = np.full(points.shape[0], IMPLICIT_DAMPING)
-    residual = x - points + tau * grad_fn(x, t_next)
-    norms = np.linalg.norm(residual, axis=1)
     for _ in range(IMPLICIT_MAX_ITERS):
+        residual = x - points + tau * grad_fn(x, t_next)
+        norms = np.linalg.norm(residual, axis=1)
         if norms.max() < IMPLICIT_TOL:
             return x
         proposal = x - eta[:, None] * residual
-        new_residual = proposal - points + tau * grad_fn(proposal, t_next)
-        new_norms = np.linalg.norm(new_residual, axis=1)
+        new_norms = np.linalg.norm(proposal - points + tau * grad_fn(proposal, t_next), axis=1)
         worse = new_norms > norms
         eta[worse] *= 0.5
         keep = ~worse
         eta[keep] = np.minimum(eta[keep] * 1.25, 1.0)
         x[keep] = proposal[keep]
-        residual[keep] = new_residual[keep]
-        norms[keep] = new_norms[keep]
     raise RuntimeError(
         f"implicit step failed to converge: worst residual {norms.max():.3e} "
         f"(tolerance {IMPLICIT_TOL})"
@@ -155,17 +149,14 @@ def predict(
     counter-based noise scaled by beta (a negative fitted beta counts as 0) is
     added.  ``beta_noise`` on an energy whose beta is 0 raises.
 
-    ``scheme="implicit"`` solves the balance condition
-    x' = x - tau * grad_V(x', t') per particle, at the time stepped into,
-    t' = ``(time_offset + k + 1) / time_scale``.  Potential-only energies, no noise.
+    ``scheme="implicit"`` solves the balance condition x' = x - tau *
+    drift(x', t') for the whole cloud, the interaction averaged over x', at
+    the time stepped into, t' = ``(time_offset + k + 1) / time_scale``.  No noise.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
-    if scheme == "implicit":
-        if any(getattr(model, term, None) is not None for term in _INTERACTION_TERMS):
-            raise ValueError("implicit prediction supports potential-only models")
-        if beta_noise:
-            raise ValueError("beta_noise applies to explicit prediction only")
+    if scheme == "implicit" and beta_noise:
+        raise ValueError("beta_noise applies to explicit prediction only")
     if beta_noise and model.beta == 0:
         raise ValueError("beta_noise needs an energy with a diffusion term (beta is 0)")
     if steps < 1:
@@ -175,17 +166,19 @@ def predict(
     if time_conditioned and time_scale is None:
         raise ValueError("time-conditioned model needs time_scale")
 
+    def drift(x: np.ndarray, time_value: float | None) -> np.ndarray:
+        grad = model.grad_potential(x, time_value)
+        return grad + model.grad_interaction_mean(x, x, initial.weights)
+
     points = initial.points.copy()
     frames = [points]
     for k in range(steps):
         if scheme == "implicit":
             t_next = (offset + k + 1) / time_scale if time_conditioned else None
-            new = implicit_step(points, model.grad_potential, tau, t_next)
+            new = implicit_step(points, drift, tau, t_next)
         else:
             time_value = (offset + k) / time_scale if time_conditioned else None
-            drift = model.grad_potential(points, time_value=time_value)
-            drift = drift + model.grad_interaction_mean(points, points, initial.weights)
-            new = points - tau * drift
+            new = points - tau * drift(points, time_value)
             beta = max(float(model.beta), 0.0)
             if beta_noise and beta > 0:
                 noise = _step_rng(seed, offset + k).standard_normal(points.shape)

@@ -68,19 +68,24 @@ def _write_table(out_dir: Path | str | None, name: str, rows: list[dict], report
 
 
 def _run_cells(cells, worker, jobs: int) -> list[dict]:
-    """Apply worker to each cell, catching per-cell failures."""
+    """Apply worker to each cell, catching per-cell failures.
 
-    def safe(cell):
+    A worker returns one row or a list of rows; the rows come back flat, in
+    cell order, with an error row in place of a cell that raised.
+    """
+
+    def safe(cell) -> list[dict]:
         try:
-            return worker(cell)
+            out = worker(cell)
         except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells
             logger.warning("cell %r failed: %s", cell, exc)
-            return {"cell": repr(cell), "error": str(exc)}
+            return [{"cell": repr(cell), "error": str(exc)}]
+        return out if isinstance(out, list) else [out]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(safe, cells))
-    return [safe(cell) for cell in cells]
+            return [row for rows in pool.map(safe, cells) for row in rows]
+    return [row for cell in cells for row in safe(cell)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +136,7 @@ def run_lightspeed(
             )
         return rows
 
-    nested = _run_cells(potential_names, worker, jobs)
-    rows = [r for item in nested for r in (item if isinstance(item, list) else [item])]
+    rows = _run_cells(potential_names, worker, jobs)
     report = {
         "experiment": "lightspeed",
         "seed": seed,
@@ -260,8 +264,7 @@ def run_general(
             )
         return rows
 
-    nested = _run_cells(list(betas), worker, jobs)
-    rows = [r for item in nested for r in (item if isinstance(item, list) else [item])]
+    rows = _run_cells(list(betas), worker, jobs)
     report = {
         "experiment": "general",
         "potential": potential,

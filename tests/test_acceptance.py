@@ -1,4 +1,4 @@
-"""Acceptance suite: ten end-to-end correctness gates, one test each.
+"""Acceptance suite: eleven end-to-end correctness gates, one test each.
 
 Every test prints a single verdict line (shown on failure, or with -s) of the
 form ``[acceptance NN] label: PASS/FAIL (details)`` and pins its tolerances
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from jkoflow import ot
-from jkoflow.datagen import GenConfig, generate
+from jkoflow.datagen import GenConfig, generate, predict
 from jkoflow.density import fit_gmm, score
 from jkoflow.experiments import run_observability, run_time_varying
 from jkoflow.features import polynomial_map
@@ -231,7 +231,6 @@ class _FrozenGradientModel:
     """Known drift field packaged like a fitted potential-only model."""
 
     time_conditioned = False
-    interaction_net = None
     beta = 0.0
 
     def __init__(self, fn: GroundTruthFunction):
@@ -351,3 +350,50 @@ def test_10_drift_diffusion_ambiguity():
     _verdict(10, "two-snapshot ambiguity and its resolution", ok,
              f"emd ratio {ratio:.3f} in [0.5, 2], diffusion-weight gap "
              f"{gap_two:.4f} -> {gap_three:.3f} with a third snapshot")
+
+
+def _fit_sphere_pair_quadratics(scheme: str, tau: float) -> np.ndarray:
+    # sphere potential + sphere interaction, beta 0: the whole initial draw
+    # is the train cloud, so the interaction averages over exactly the
+    # particles it moves (generate's split would average over twice as many)
+    sphere = GroundTruthFunction("sphere", 2)
+    spec = EnergySpec(potential=sphere, interaction=sphere)
+    rng = np.random.default_rng(11)
+    initial = uniform_snapshot(rng.uniform(-4.0, 4.0, size=(300, 2)), 0)
+    result = fit(predict(spec, initial, 3, tau, scheme), TrainConfig(
+        variant="star_linear",
+        ridge_lambda=0.0,
+        pin_internal=True,
+        potential_features=polynomial_map(2, 2),
+        interaction_features=polynomial_map(2, 2),
+        seed=0,
+    ))
+    theta_pot, theta_int, _ = result.model.theta_blocks()
+    # degree-major basis over 2 coordinates: entries 2 and 3 are the x^2
+    # coefficients, truth -10 in both blocks
+    return np.concatenate([theta_pot[2:4], theta_int[2:4]])
+
+
+def test_11_jko_consistent_interaction_recovery():
+    # implicit data meet the first-order condition of the JKO step that the
+    # loss encodes, so the four x^2 coefficients come back within 1e-6
+    gap = np.abs(_fit_sphere_pair_quadratics("implicit", 1e-2) + 10.0).max()
+
+    # explicit data leave a bias: the dynamics are linear, and the fitted
+    # coefficients are -10 / (1 + 20 tau) (potential) and
+    # -10 / ((1 + 20 tau)(1 + 40 tau)) (interaction), so shrinking tau from
+    # 1e-2 to 1e-3 shrinks the bias 8.50 and 7.06 times
+    bias_coarse = np.abs(_fit_sphere_pair_quadratics("explicit", 1e-2) + 10.0)
+    bias_fine = np.abs(_fit_sphere_pair_quadratics("explicit", 1e-3) + 10.0)
+    ratio = bias_coarse / bias_fine
+    ratio_pot, ratio_int = ratio[:2], ratio[2:]
+
+    ok = (
+        gap < 1e-6
+        and np.all(np.abs(ratio_pot - 8.50) < 0.01)
+        and np.all(np.abs(ratio_int - 7.06) < 0.01)
+    )
+    _verdict(11, "JKO-consistent interaction recovery", ok,
+             f"coefficient gap {gap:.2e}, bias ratios {ratio_pot.min():.3f}-"
+             f"{ratio_pot.max():.3f} (potential, 8.50) and {ratio_int.min():.3f}-"
+             f"{ratio_int.max():.3f} (interaction, 7.06) for tau 1e-2 vs 1e-3")

@@ -107,6 +107,21 @@ def test_generate_requires_some_energy(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_generate_implicit_with_interaction(tmp_path):
+    out = tmp_path / "d"
+    code = run(
+        "generate",
+        "--scheme", "implicit",
+        "--interaction", "sphere",
+        "--particles", "40",
+        "--steps", "2",
+        "--seed", "1",
+        "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert load_trajectory(out / "train").n_snapshots == 3
+
+
 def test_generate_unstable_tau_is_a_runtime_failure(tmp_path):
     # cubic growth overflows within a few steps at this step size
     with np.errstate(over="ignore", invalid="ignore"):

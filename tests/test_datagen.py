@@ -2,7 +2,7 @@
 
 Every numeric target below is hand-derived from the step definitions:
     explicit:  x' = x - tau * grad_V(x) - tau * mean_y grad_U(x - y) + sqrt(2 tau b) n
-    implicit:  x' = x - tau * grad_V(x', t')
+    implicit:  x' = x - tau * grad_V(x', t') - tau * mean_y' grad_U(x' - y')
 Linear gradients make both solvable in closed form, which pins the solvers
 to exact arithmetic instead of self-consistency.  The explicit step of the
 true energies is taken through ``predict``, the rollout ``generate`` makes.
@@ -15,6 +15,7 @@ import pytest
 
 from jkoflow.datagen import (
     GenConfig,
+    IMPLICIT_TOL,
     TIME_VARYING_STEPS,
     TIME_VARYING_TAU,
     _step_rng,
@@ -194,6 +195,19 @@ def test_implicit_reports_non_convergence():
         implicit_step(np.ones((2, 1)), lambda x, t: -30.0 * x, tau=0.1)
 
 
+def test_implicit_fallback_recomputes_coupled_residuals():
+    # grad 35x + 5 mean(x), tau 0.1: the damped fixed-point map multiplies
+    # each row's error by -1.25, so the per-row fallback does the work.  An
+    # accepted row moves every row's mean term, so each residual must come
+    # from the current cloud; the mean of the cloud is 0, so x' = x / 4.5
+    pts = np.linspace(-1, 1, 7)[:, None]
+    grad = lambda x, t: 35.0 * x + 5.0 * x.mean(axis=0)
+    out = implicit_step(pts, grad, tau=0.1)
+    residual = out - pts + 0.1 * grad(out, None)
+    assert np.linalg.norm(residual, axis=1).max() < IMPLICIT_TOL
+    np.testing.assert_allclose(out, pts / 4.5, atol=1e-8)
+
+
 def test_explicit_implicit_gap_shrinks_like_tau_squared():
     # on the sphere the one-step gap is (20 tau)^2 / (1 - 20 tau) per unit x:
     # tau 1e-2 vs 1e-3 gives exactly 0.05 / (0.0004/0.98) = 122.5
@@ -289,6 +303,23 @@ def test_generate_implicit_scheme_matches_closed_form():
         np.testing.assert_allclose(snap.points, start / 0.8**t, atol=1e-6)
 
 
+def test_generate_implicit_odd_interaction_meets_whole_cloud_balance():
+    # watershed is not even (U(z) != U(-z)); the balance averages the
+    # interaction over the whole new cloud, train and test halves together
+    tau = 0.01
+    spec = EnergySpec(potential=_sphere(2), interaction=GroundTruthFunction("watershed", 2))
+    train, test = generate(
+        GenConfig(spec, n_particles=60, timesteps=3, tau=tau, scheme="implicit", seed=2)
+    )
+    clouds = [np.vstack([a.points, b.points]) for a, b in zip(train.snapshots, test.snapshots)]
+    weights = np.full(60, 1 / 60)
+    for x, new in zip(clouds[:-1], clouds[1:]):
+        interaction = spec.grad_interaction_mean(new, new, weights)
+        balance = new - x + tau * (spec.grad_potential(new) + interaction)
+        assert np.linalg.norm(balance, axis=1).max() < IMPLICIT_TOL
+        assert np.abs(tau * interaction).max() > 1e3 * IMPLICIT_TOL
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -306,13 +337,9 @@ def test_gen_config_rejects_bad_values(kwargs, message):
         GenConfig(EnergySpec(potential=_sphere(2)), **kwargs)
 
 
-def test_gen_config_implicit_rejects_interaction_and_diffusion():
-    with pytest.raises(ValueError, match="potential-only"):
-        GenConfig(
-            EnergySpec(potential=_sphere(2), interaction=_sphere(2)),
-            scheme="implicit",
-        )
-    with pytest.raises(ValueError, match="potential-only"):
+def test_gen_config_implicit_rejects_diffusion():
+    # the entropic JKO step is not a per-particle map
+    with pytest.raises(ValueError, match="no diffusion"):
         GenConfig(EnergySpec(potential=_sphere(2), beta=0.1), scheme="implicit")
 
 

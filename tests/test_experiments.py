@@ -83,6 +83,19 @@ def test_run_cells_parallel_matches_serial_order():
     assert threaded == serial
 
 
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_run_cells_flattens_row_lists_in_cell_order(jobs):
+    def worker(cell):
+        if cell == 1:
+            raise ValueError("boom")
+        return [{"cell": cell, "k": k} for k in range(2)]
+
+    rows = ex._run_cells([0, 1, 2], worker, jobs=jobs)
+    assert rows[:2] == [{"cell": 0, "k": 0}, {"cell": 0, "k": 1}]
+    assert rows[2]["cell"] == repr(1) and "boom" in rows[2]["error"]
+    assert rows[3:] == [{"cell": 2, "k": 0}, {"cell": 2, "k": 1}]
+
+
 def test_runner_registry_names():
     assert set(ex.RUNNERS) == {
         "lightspeed",

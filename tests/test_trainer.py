@@ -19,7 +19,7 @@ import pytest
 
 import jkoflow.trainer as trainer_mod
 from jkoflow import density, ot
-from jkoflow.datagen import SCHEMES, GatedQuadratic, GenConfig, _step_rng, generate
+from jkoflow.datagen import IMPLICIT_TOL, SCHEMES, GatedQuadratic, GenConfig, _step_rng, generate
 from jkoflow.density import GaussianMixture, score
 from jkoflow.features import polynomial_map
 from jkoflow.functionals import EnergySpec, GroundTruthFunction
@@ -420,20 +420,32 @@ def test_predict_implicit_quadratic_and_identity():
         np.testing.assert_allclose(s.points, x / 1.2**k, atol=1e-7)
 
 
-def test_predict_implicit_rejects_interaction_models():
-    snap = uniform_snapshot(np.ones((2, 1)), 0)
-    mlp = build_model(dim=1, seed=0, with_interaction=True, hidden=(4,))
-    with pytest.raises(ValueError, match="potential-only"):
-        predict(mlp, snap, steps=1, tau=0.1, scheme="implicit")
+def test_predict_implicit_steps_interaction_models():
+    # one implicit step meets the whole-cloud balance on every row:
+    # x' - x + tau (grad_V(x') + sum_j w_j grad_U(x' - x'_j)) = 0
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, size=(9, 2))
+    snap = EmpiricalSnapshot(x, rng.dirichlet(np.ones(9)), 0)
+    tau = 0.01
+    poly = polynomial_map(2, 2)
     linear = LinearEnergyModel(
-        potential_map=polynomial_map(1, 1), interaction_map=polynomial_map(1, 1)
+        potential_map=poly, interaction_map=poly, theta=10.0 * rng.normal(size=2 * poly.n_features)
     )
-    with pytest.raises(ValueError, match="potential-only"):
-        predict(linear, snap, steps=1, tau=0.1, scheme="implicit")
-    sphere = GroundTruthFunction("sphere", 1)
-    spec = EnergySpec(potential=sphere, interaction=sphere)
-    with pytest.raises(ValueError, match="potential-only"):
-        predict(spec, snap, steps=1, tau=0.1, scheme="implicit")
+    sphere = GroundTruthFunction("sphere", 2)
+    models = (
+        build_model(dim=2, seed=0, with_interaction=True, hidden=(4,)),
+        linear,
+        EnergySpec(potential=sphere, interaction=sphere),
+    )
+    for model in models:
+        new = predict(model, snap, steps=1, tau=tau, scheme="implicit").snapshots[1].points
+        drift = model.grad_potential(new) + model.grad_interaction_mean(new, new, snap.weights)
+        residual = new - x + tau * drift
+        assert np.linalg.norm(residual, axis=1).max() < IMPLICIT_TOL
+    # sphere + sphere in closed form: grad_V(x') = -20 x', and the pair mean
+    # is -20 (x' - weighted mean of x')
+    centre = snap.weights @ new
+    np.testing.assert_allclose(new - x - tau * 20.0 * (2 * new - centre), 0.0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
