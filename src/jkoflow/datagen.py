@@ -93,15 +93,21 @@ def implicit_step(
 
     Damped fixed-point iteration from the warm start x, then, if a row is
     still off, per-row step sizes on residuals computed fresh from the whole
-    cloud, so a drift that couples rows is met on every row.  Raises if any
-    row still violates the tolerance.
+    cloud, so a drift that couples rows is met on every row.  Rows that the
+    damped phase left non-finite restart from the warm start, and a proposal
+    counts as worse unless its residual is no larger, so NaN never sticks.
+    Raises if any row still violates the tolerance.
     """
     x = points.copy()
-    for _ in range(IMPLICIT_MAX_ITERS):
-        residual = x - points + tau * grad_fn(x, t_next)
-        if np.linalg.norm(residual, axis=1).max() < IMPLICIT_TOL:
-            return x
-        x = x - IMPLICIT_DAMPING * residual
+    # a diverging damped phase overflows; the fallback restarts those rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(IMPLICIT_MAX_ITERS):
+            residual = x - points + tau * grad_fn(x, t_next)
+            if np.linalg.norm(residual, axis=1).max() < IMPLICIT_TOL:
+                return x
+            x = x - IMPLICIT_DAMPING * residual
+    lost = ~np.isfinite(x).all(axis=1)
+    x[lost] = points[lost]
     # fallback: per-row step sizes, shrink on any residual increase and
     # regrow after accepted steps so a single bad transient cannot stall rows
     eta = np.full(points.shape[0], IMPLICIT_DAMPING)
@@ -112,7 +118,7 @@ def implicit_step(
             return x
         proposal = x - eta[:, None] * residual
         new_norms = np.linalg.norm(proposal - points + tau * grad_fn(proposal, t_next), axis=1)
-        worse = new_norms > norms
+        worse = ~(new_norms <= norms)
         eta[worse] *= 0.5
         keep = ~worse
         eta[keep] = np.minimum(eta[keep] * 1.25, 1.0)

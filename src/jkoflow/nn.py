@@ -15,9 +15,8 @@ The passes do only the work a gradient reads.  No gradient reads the net's
 value, so they compute neither the output nor the last hidden layer's
 softplus, only that layer's sigmoid; the scalar output's weight row W^L
 enters as a row broadcast over the batch, and its own gradient is the
-column sums of its cotangent.  ``forward`` and ``_forward_cache`` still run
-the whole net: they are the reference that the tests difference.  Each pass
-takes its batch-sized arrays from one allocation (``_Slab``).
+column sums of its cotangent.  Each pass takes its batch-sized arrays from
+one allocation (``_Slab``).
 
 Architecture: affine layers with softplus hidden activations and a linear
 scalar output.  Weights start Gaussian with std sqrt(1/fan_in), biases zero.
@@ -95,15 +94,6 @@ def _buffer_size(rows: int, widths: list[int]) -> int:
     return 2 * min(rows, ACTIVATION_BLOCK_ROWS) * max(widths, default=0)
 
 
-def _softplus_and_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """softplus(z) and sigmoid(z) for a 2-d z, bit for bit, from one
-    exp(-|z|).  Beside z only the two outputs are as large as z."""
-    acts = z.copy()
-    sigs = np.empty_like(z)
-    _softplus_and_sigmoid_over(acts, sigs, np.empty(_buffer_size(z.shape[0], [z.shape[1]])))
-    return acts, sigs
-
-
 class _Slab:
     """The batch-sized float64 arrays of one pass, cut in turn from a single
     allocation.
@@ -158,28 +148,6 @@ def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> Mlp:
         weights.append(rng.standard_normal((fan_out, fan_in)) * np.sqrt(1.0 / fan_in))
         biases.append(np.zeros(fan_out))
     return Mlp(weights, biases)
-
-
-def _forward_cache(mlp: Mlp, x: np.ndarray):
-    """Activations A and hidden sigmoids S for a batch."""
-    activations = [x]
-    sigmoids = []
-    n_layers = len(mlp.weights)
-    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = activations[-1] @ w.T + b
-        if l < n_layers - 1:
-            act, sig = _softplus_and_sigmoid(z)
-            sigmoids.append(sig)
-            activations.append(act)
-        else:
-            activations.append(z)
-    return activations, sigmoids
-
-
-def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
-    """Scalar outputs, shape (B,)."""
-    activations, _ = _forward_cache(mlp, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    return activations[-1][:, 0]
 
 
 def _hidden_widths(mlp: Mlp) -> tuple[list[int], int, int]:

@@ -208,6 +208,24 @@ def test_implicit_fallback_recomputes_coupled_residuals():
     np.testing.assert_allclose(out, pts / 4.5, atol=1e-8)
 
 
+def test_implicit_fallback_restarts_rows_the_damped_phase_lost():
+    # grad 10 x^5, tau 0.1: the damped phase overflows to inf and NaN, so the
+    # fallback starts again from the warm start and solves x' + x'^5 = x
+    pts = np.linspace(1, 3, 5)[:, None]
+    out = implicit_step(pts, lambda x, t: 10.0 * x**5, tau=0.1)
+    assert np.linalg.norm(out + out**5 - pts, axis=1).max() < IMPLICIT_TOL
+    assert out[2, 0] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_implicit_fallback_rejects_nan_proposals():
+    # grad 100 x, NaN beyond |x| = 2: the fallback's first proposals land
+    # there, and a NaN residual must count as worse, not be kept; x' = x / 11
+    pts = np.linspace(-1, 1, 5)[:, None]
+    grad = lambda x, t: np.where(np.abs(x) <= 2.0, 100.0 * x, np.nan)
+    out = implicit_step(pts, grad, tau=0.1)
+    np.testing.assert_allclose(out, pts / 11.0, atol=1e-8)
+
+
 def test_explicit_implicit_gap_shrinks_like_tau_squared():
     # on the sphere the one-step gap is (20 tau)^2 / (1 - 20 tau) per unit x:
     # tau 1e-2 vs 1e-3 gives exactly 0.05 / (0.0004/0.98) = 122.5

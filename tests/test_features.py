@@ -6,13 +6,14 @@ import pytest
 from jkoflow.features import (
     FeatureMap,
     build_default,
-    eval_features,
     grid_centers,
     jacobian_features,
     polynomial_map,
     random_centers,
 )
 from jkoflow.measures import EXP_FLOOR
+
+from oracles import eval_features
 
 
 def fd_jacobian(fm, x, h=1e-6):
@@ -188,13 +189,28 @@ def pair_mean_reference(fm, x, points, weights):
     return terms.sum(axis=1), scale[None, :, None]
 
 
+def scattered_default_2d():
+    """The default 2-D map with its grid jittered by up to 1e-3: no longer a
+    Cartesian grid, so its bumps take the kernel path."""
+    fm = build_default(2, include_cross=True)
+    jitter = np.random.default_rng(0).uniform(-1e-3, 1e-3, size=fm.rbf_centers.shape)
+    return FeatureMap(dim=2, poly_degree=fm.poly_degree, poly_cross=True,
+                      rbf_sigma=fm.rbf_sigma, rbf_centers=fm.rbf_centers + jitter)
+
+
 PAIR_MEAN_MAPS = {
     "monomials-cross": lambda: polynomial_map(2, 4, cross=True),
     "bumps": lambda: FeatureMap(dim=2, rbf_centers=grid_centers(2, 5)),
     "default-1d": lambda: build_default(1),
     "default-2d": lambda: build_default(2, include_cross=True),
+    "scattered-2d": scattered_default_2d,
     "default-3d": lambda: build_default(3, include_cross=True),  # random centers
 }
+
+# the default 2-D grid, whose bumps take the per-axis factors, and the same
+# map jittered off the grid, whose bumps take the kernel product; the
+# far-from-origin and wide-population tests check both on the same draw
+GRID_AND_SCATTERED = ["default-2d", "scattered-2d"]
 
 
 @pytest.mark.parametrize("n_x, n_points", [(6, 9), (1, 9), (6, 1)],
@@ -215,37 +231,82 @@ def test_pair_mean_matches_a_loop_over_the_population(name, n_x, n_points, rng):
 
 
 def test_pair_mean_keeps_precision_far_from_the_origin(rng):
-    """x and y about 50 from the origin: the squared distances are expanded
-    about the population's mean, so only the spread about it costs precision,
-    about eps * R^2 / sigma for points R from that mean.  At sigma = 0.5 the
-    expansion stops meeting 1e-12 near R = 40 (two clusters at +-R: 4e-13 at
-    R = 30, 1.5e-12 at R = 50); without the shift this case misses it (2e-12)."""
-    fm = build_default(2, include_cross=True)
+    """x and y about 50 from the origin.  Grid bumps take each difference
+    x_ik - y_jk - g_a directly and lose nothing to the offset.  Scattered
+    bumps expand their squared distances about the population's mean, so
+    only the spread about it costs precision, about eps * R^2 / sigma for
+    points R from that mean.  At sigma = 0.5 that expansion stops meeting
+    1e-12 near R = 40 (two clusters at +-R: 4e-13 at R = 30, 1.5e-12 at
+    R = 50); without the shift this case misses it (2e-12)."""
     far = 50.0 / np.sqrt(2.0)
     x = far + rng.normal(size=(5, 2))
     points = far + rng.normal(size=(20, 2))
     weights = rng.uniform(0.1, 1.0, size=20)
     weights /= weights.sum()
-    want, scale = pair_mean_reference(fm, x, points, weights)
-    got = jacobian_features(fm, x, points, weights)
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    for name in GRID_AND_SCATTERED:
+        fm = PAIR_MEAN_MAPS[name]()
+        want, scale = pair_mean_reference(fm, x, points, weights)
+        got = jacobian_features(fm, x, points, weights)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), name
 
 
 def test_pair_mean_on_a_wide_population_matches_the_loop(rng):
     """Rows and points spread about 25 about their mean, as in the last
     snapshot of the general_linear benchmark: many kernel arguments fall below
-    EXP_FLOOR, where the kernel is flushed to exactly 0."""
-    fm = build_default(2, include_cross=True)
+    EXP_FLOOR, where the kernel (or a per-axis factor) is flushed to exactly 0."""
     x = rng.normal(scale=25.0 / np.sqrt(2.0), size=(8, 2))
     points = rng.normal(scale=25.0 / np.sqrt(2.0), size=(40, 2))
     weights = rng.uniform(0.1, 1.0, size=40)
     weights /= weights.sum()
-    pair = x[:, None, None, :] - points[None, :, None, :] - fm.rbf_centers[None, None, :, :]
-    arguments = -(pair**2).sum(axis=3) / fm.rbf_sigma
-    assert 0.2 < np.mean(arguments < EXP_FLOOR) < 0.8
-    want, scale = pair_mean_reference(fm, x, points, weights)
-    got = jacobian_features(fm, x, points, weights)
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    for name in GRID_AND_SCATTERED:
+        fm = PAIR_MEAN_MAPS[name]()
+        pair = x[:, None, None, :] - points[None, :, None, :] - fm.rbf_centers[None, None, :, :]
+        arguments = -(pair**2).sum(axis=3) / fm.rbf_sigma
+        assert 0.2 < np.mean(arguments < EXP_FLOOR) < 0.8
+        want, scale = pair_mean_reference(fm, x, points, weights)
+        got = jacobian_features(fm, x, points, weights)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), name
+
+
+def test_default_grids_factorize_and_random_centers_do_not():
+    assert [len(axis) for axis in build_default(1)._grid_axes] == [10]
+    assert [len(axis) for axis in build_default(2)._grid_axes] == [10, 10]
+    assert build_default(3)._grid_axes is None
+    assert scattered_default_2d()._grid_axes is None
+
+
+def test_grid_detection_needs_the_full_grid_in_order():
+    centers = grid_centers(2, 4)
+    assert FeatureMap(dim=2, rbf_centers=centers)._grid_axes is not None
+    # a missing corner, and the same grid with its last axis varying slowest
+    assert FeatureMap(dim=2, rbf_centers=centers[1:])._grid_axes is None
+    assert FeatureMap(dim=2, rbf_centers=centers[:, ::-1])._grid_axes is None
+    # a grid in three dimensions keeps the kernel product
+    assert FeatureMap(dim=3, rbf_centers=grid_centers(3, 2))._grid_axes is None
+
+
+@pytest.mark.parametrize("name", ["bumps", "default-1d", "default-2d"])
+def test_grid_pair_mean_does_not_depend_on_pair_blocks(name, rng, monkeypatch):
+    fm = PAIR_MEAN_MAPS[name]()
+    x = rng.normal(scale=8.0, size=(37, fm.dim))
+    points = rng.normal(scale=8.0, size=(53, fm.dim))
+    weights = rng.uniform(0.1, 1.0, size=53)
+    want = jacobian_features(fm, x, points, weights)
+    for budget in [700, 5_000, 60_000, 10**7]:
+        monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", budget)
+        np.testing.assert_array_equal(jacobian_features(fm, x, points, weights), want)
+
+
+def test_grid_pair_mean_holds_no_subnormal_entries(rng):
+    """Each factor is flushed on its own, so products of two can sum to a
+    subnormal bump mean far from every center; those go to 0, as later
+    products with a subnormal entry (the Gram) run several times slower."""
+    fm = build_default(2)
+    x = rng.normal(scale=40.0 / np.sqrt(2.0), size=(30, 2))
+    points = rng.normal(scale=40.0 / np.sqrt(2.0), size=(60, 2))
+    weights = rng.uniform(0.1, 1.0, size=60)
+    got = jacobian_features(fm, x, points, weights / weights.sum())
+    assert not np.any((got != 0) & (np.abs(got) < np.finfo(np.float64).tiny))
 
 
 def test_cross_terms_of_one_coordinate_are_empty(rng):

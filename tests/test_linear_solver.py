@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from jkoflow import features, measures
 from jkoflow.density import GaussianMixture
-from jkoflow.features import FeatureMap, build_default, eval_features, polynomial_map
+from jkoflow.features import FeatureMap, build_default, polynomial_map
 from jkoflow.linear_solver import (
     DEFAULT_RIDGE,
     FeatureStatistic,
@@ -30,6 +30,8 @@ from jkoflow.linear_solver import (
     solve,
 )
 from jkoflow.measures import Coupling, EmpiricalSnapshot, PopulationTrajectory, uniform_snapshot
+
+from oracles import eval_features
 
 
 def _identity_coupling(t: int, n: int) -> Coupling:

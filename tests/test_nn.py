@@ -25,7 +25,6 @@ from jkoflow.nn import (
     MlpEnergyModel,
     adam_step,
     build_model,
-    forward,
     gradient_and_adjoint,
     init_mlp,
     input_gradient,
@@ -33,9 +32,9 @@ from jkoflow.nn import (
     sigmoid,
     softplus,
     softplus_inverse,
-    _forward_cache,
-    _softplus_and_sigmoid,
 )
+
+from oracles import forward, forward_cache, softplus_and_sigmoid
 
 
 def _naive_forward(mlp: Mlp, x: np.ndarray) -> float:
@@ -75,7 +74,7 @@ def test_fused_activation_matches_softplus_and_sigmoid_bit_for_bit():
     # more rows than one activation block, and several columns
     z = np.tile(z[:, None], (1, 3))
     z[:, 1] = -z[:, 1]
-    acts, sigs = _softplus_and_sigmoid(z)
+    acts, sigs = softplus_and_sigmoid(z)
     np.testing.assert_array_equal(acts, softplus(z))
     np.testing.assert_array_equal(sigs, sigmoid(z))
 
@@ -93,7 +92,7 @@ def test_branch_free_sigmoid_is_bit_identical_to_the_where_form():
     want = _where_sigmoid(z).view(np.int64)
     block = np.tile(z[:, None], (1, 3))
     np.testing.assert_array_equal(sigmoid(z).view(np.int64), want)
-    np.testing.assert_array_equal(_softplus_and_sigmoid(block)[1][:, 1].view(np.int64), want)
+    np.testing.assert_array_equal(softplus_and_sigmoid(block)[1][:, 1].view(np.int64), want)
     over = nn._sigmoid_over(block.copy(), np.empty(block.size))
     np.testing.assert_array_equal(over[:, 2].view(np.int64), want)
 
@@ -227,7 +226,7 @@ HIDDEN_CASES = [(), (16,), (64, 64), (8, 8, 8)]
 def _reference_input_gradient(mlp: Mlp, xb: np.ndarray) -> np.ndarray:
     # the pass before the dead work was cut: the whole net forward, the last
     # softplus and the output included, then P^L = 1 and 1 W^L as full arrays
-    _, sigmoids = _forward_cache(mlp, xb)
+    _, sigmoids = forward_cache(mlp, xb)
     p = np.ones((xb.shape[0], 1))
     for l in range(len(mlp.weights) - 1, 0, -1):
         p = (p @ mlp.weights[l]) * sigmoids[l - 1]
@@ -307,7 +306,7 @@ def _reference_tape(mlp: Mlp, xb: np.ndarray):
     # and Q^L = 1 W^L as full arrays, and the output row's gradient as a
     # product with P^L like every other weight gradient
     n_layers = len(mlp.weights)
-    activations, sigmoids = _forward_cache(mlp, xb)
+    activations, sigmoids = forward_cache(mlp, xb)
     ps = [None] * (n_layers + 1)
     qs = [None] * (n_layers + 1)
     ps[n_layers] = np.ones((xb.shape[0], 1))

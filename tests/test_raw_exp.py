@@ -42,8 +42,6 @@ ALLOWED = {
     ("ot", "solve_sinkhorn"): 1,
     ("density", "score"): 1,
     ("density", "fit_gmm"): 1,
-    # feature values: no benchmark workload reaches eval_features' bumps
-    ("features", "eval_features"): 1,
 }
 
 

@@ -5,8 +5,9 @@ when its name appears anywhere in ``src/jkoflow/*.py`` or ``perfbench/*.py``
 other than its own definition, or when ``jkoflow.__all__`` exports it.  The
 check is by name only: it reads the source as text, so a method that shares
 its name with another definition (``to_json`` on each model) or with a word
-in a comment or docstring (``nn.forward``) escapes it.  Dunder names are
-called by Python itself and are not listed.
+in a comment or docstring escapes it.  Dunder names are called by Python
+itself and are not listed.  Reference code that only the tests need lives
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # Reached only from tests, on purpose.
 ALLOWED = {
-    # the finite-difference reference that test_features.py checks
-    # jacobian_features against
-    "eval_features",
     # the ot solve counter's reset; it goes when a per-fit record replaces
     # the module-global counter
     "reset_solve_count",
