@@ -10,6 +10,7 @@ command's output directory so runs can be reproduced from their artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import logging
@@ -220,8 +221,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         for key, value in file_cfg.items():
             # null leaves the key unset, as an absent flag does
             if value is not None:
-                _check_file_value(key, value, _FLAGS[command][key][1])
-                resolved[key] = value
+                kwargs = _FLAGS[command][key][1]
+                _check_file_value(key, value, kwargs)
+                # typed as argparse types a flag, so an integer given for a real is a real
+                resolved[key] = kwargs["type"](value) if "type" in kwargs else value
     for key in resolved:
         value = getattr(args, key, None)
         if value is not None:
@@ -255,38 +258,37 @@ def _trajectory_dir(data: str, prefer: str) -> Path:
     raise ValueError(f"no trajectory found under {base} (looked for {prefer}/ and .)")
 
 
+# CLI keys whose config field has another name; every other key names its field
+_FIELD_OF = {"particles": "n_particles", "steps": "timesteps", "ot_method": "method"}
+
+
+def _build(cls, cfg: dict, **given):
+    """A ``cls`` config from every set key of ``cfg`` that names one of its
+    fields, with ``given`` fields taking precedence."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    named = {_FIELD_OF.get(k, k): v for k, v in cfg.items() if v is not None}
+    return cls(**{**{f: v for f, v in named.items() if f in fields}, **given})
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 
 def _cmd_generate(cfg: dict) -> int:
     _require(cfg, "seed", "out")
-    if cfg["potential"] is None and cfg["interaction"] is None and cfg["beta"] == 0.0:
-        raise _UsageError("need at least one of --potential/--interaction/--beta")
-    dim = int(cfg["dim"])
+    dim = cfg["dim"]
     spec = EnergySpec(
         potential=GroundTruthFunction(cfg["potential"], dim) if cfg["potential"] else None,
         interaction=GroundTruthFunction(cfg["interaction"], dim) if cfg["interaction"] else None,
-        beta=float(cfg["beta"]),
+        beta=cfg["beta"],
     )
-    gen_cfg = GenConfig(
-        spec=spec,
-        n_particles=int(cfg["particles"]),
-        dim=dim,
-        timesteps=int(cfg["steps"]),
-        tau=float(cfg["tau"]),
-        init_low=float(cfg["init_low"]),
-        init_high=float(cfg["init_high"]),
-        seed=int(cfg["seed"]),
-        scheme=cfg["scheme"],
-    )
-    train, test = generate(gen_cfg)
+    train, test = generate(_build(GenConfig, cfg, spec=spec))
     out = Path(cfg["out"])
     label = "+".join(
         filter(None, [cfg["potential"], cfg["interaction"], f"beta={cfg['beta']}"])
     )
-    save_trajectory(train, out / "train", generator=label, seed=gen_cfg.seed)
-    save_trajectory(test, out / "test", generator=label, seed=gen_cfg.seed)
+    save_trajectory(train, out / "train", generator=label, seed=cfg["seed"])
+    save_trajectory(test, out / "test", generator=label, seed=cfg["seed"])
     _echo_config(cfg, "generate", out)
     logger.info(
         "wrote %d train + %d test particles x %d snapshots to %s",
@@ -298,27 +300,11 @@ def _cmd_generate(cfg: dict) -> int:
     return EXIT_OK
 
 
-# CLI key -> (OtConfig field, conversion); keys a command lacks keep the field's default
-_OT_KEYS = {
-    "ot_method": ("method", str),
-    "epsilon": ("epsilon", float),
-    "max_iters": ("max_iters", int),
-    "tolerance": ("tolerance", float),
-    "batch_size": ("batch_size", int),
-    "seed": ("seed", int),
-}
-
-
-def _ot_config(cfg: dict) -> ot.OtConfig:
-    given = {f: convert(cfg[k]) for k, (f, convert) in _OT_KEYS.items() if cfg.get(k) is not None}
-    return ot.OtConfig(**given, jobs=_jobs(cfg.get("jobs")))
-
-
 def _cmd_couple(cfg: dict) -> int:
     _require(cfg, "data")
     traj_dir = _trajectory_dir(cfg["data"], "train")
     traj = load_trajectory(traj_dir)
-    couplings = ot.couple_trajectory(traj, _ot_config(cfg))
+    couplings = ot.couple_trajectory(traj, _build(ot.OtConfig, cfg, jobs=_jobs(cfg["jobs"])))
     for coupling in couplings:
         save_coupling(coupling, traj_dir)
     _echo_config(cfg, "couple", traj_dir)
@@ -326,42 +312,29 @@ def _cmd_couple(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _train_config(cfg: dict, dim: int) -> trainer.TrainConfig:
-    hidden = tuple(int(w) for w in str(cfg["hidden"]).split(",") if w.strip())
-    features = None
-    if cfg["poly_degree"] is not None:
-        features = polynomial_map(dim, int(cfg["poly_degree"]))
-    return trainer.TrainConfig(
-        variant=cfg["variant"],
-        epochs=int(cfg["epochs"]),
-        batch_pairs=int(cfg["batch_pairs"]),
-        learning_rate=float(cfg["learning_rate"]),
-        gmm_k=int(cfg["gmm_k"]),
-        ridge_lambda=float(cfg["ridge_lambda"]),
-        hidden=hidden,
-        interaction_subsample=int(cfg["interaction_subsample"]),
-        pin_internal=bool(cfg["pin_internal"]),
-        seed=int(cfg["seed"]),
-        ot=_ot_config(cfg),
-        potential_features=features,
-        interaction_features=features,
-    )
-
-
 def _cmd_train(cfg: dict) -> int:
     _require(cfg, "data", "seed", "out")
     traj_dir = _trajectory_dir(cfg["data"], "train")
     train = load_trajectory(traj_dir)
-    result = trainer.fit(train, _train_config(cfg, train.dim))
+    features = None
+    if cfg["poly_degree"] is not None:
+        features = polynomial_map(train.dim, cfg["poly_degree"])
+    train_cfg = _build(
+        trainer.TrainConfig, cfg,
+        hidden=tuple(int(w) for w in cfg["hidden"].split(",") if w.strip()),
+        ot=_build(ot.OtConfig, cfg, jobs=_jobs(cfg["jobs"])),
+        potential_features=features,
+        interaction_features=features,
+    )
+    result = trainer.fit(train, train_cfg)
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    payload = result.model.to_json()
-    payload["loss_history"] = [float(v) for v in result.loss_history]
-    payload["couple_seconds"] = result.couple_seconds
-    payload["train_seconds"] = result.train_seconds
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    trainer.save_model(
+        result.model, out,
+        loss_history=result.loss_history,
+        couple_seconds=result.couple_seconds,
+        train_seconds=result.train_seconds,
+    )
     _echo_config(cfg, "train", out.parent)
     logger.info(
         "fitted %s in %.2fs (coupling %.2fs), final loss %.4g, model at %s",
@@ -371,21 +344,22 @@ def _cmd_train(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(cfg: dict) -> int:
-    _require(cfg, "data", "model", "report")
-    if cfg["beta_noise"] and cfg.get("seed") is None:
+def _load_for_rollout(cfg: dict, *required: str):
+    """The checks and loads that evaluate and predict share: the test-side
+    trajectory directory, its trajectory and the model."""
+    _require(cfg, "data", "model", *required)
+    if cfg["beta_noise"] and cfg["seed"] is None:
         raise _UsageError("--beta-noise requires --seed")
     traj_dir = _trajectory_dir(cfg["data"], "test")
-    test = load_trajectory(traj_dir)
+    return traj_dir, load_trajectory(traj_dir), trainer.load_model(cfg["model"])
+
+
+def _cmd_evaluate(cfg: dict) -> int:
+    traj_dir, test, model = _load_for_rollout(cfg, "report")
     with open(cfg["model"]) as fh:
         model_payload = json.load(fh)
-    model = trainer.load_model(cfg["model"])
     report = trainer.evaluate(
-        model,
-        test,
-        scheme=cfg["scheme"],
-        beta_noise=bool(cfg["beta_noise"]),
-        seed=int(cfg.get("seed") or 0),
+        model, test, scheme=cfg["scheme"], beta_noise=cfg["beta_noise"], seed=cfg["seed"] or 0
     )
     report["model"] = str(cfg["model"])
     report["data"] = str(traj_dir)
@@ -403,24 +377,20 @@ def _cmd_evaluate(cfg: dict) -> int:
 
 
 def _cmd_predict(cfg: dict) -> int:
-    _require(cfg, "data", "model", "out")
-    if cfg["beta_noise"] and cfg.get("seed") is None:
-        raise _UsageError("--beta-noise requires --seed")
-    traj_dir = _trajectory_dir(cfg["data"], "test")
-    traj = load_trajectory(traj_dir)
-    start_index = int(cfg["from_index"])
+    _, traj, model = _load_for_rollout(cfg, "out")
+    start_index = cfg["from_index"]
     if not 0 <= start_index < traj.n_snapshots:
         raise ValueError(f"from_index {start_index} out of range for {traj.n_snapshots} snapshots")
     steps = cfg["steps"]
-    steps = int(steps) if steps is not None else max(1, traj.n_steps - start_index)
-    model = trainer.load_model(cfg["model"])
+    if steps is None:
+        steps = max(1, traj.n_steps - start_index)
     rollout = trainer.predict(
         model, traj.snapshots[start_index], steps, traj.tau, cfg["scheme"],
-        beta_noise=bool(cfg["beta_noise"]), seed=int(cfg.get("seed") or 0),
+        beta_noise=cfg["beta_noise"], seed=cfg["seed"] or 0,
         time_offset=start_index, time_scale=traj.n_steps,
     )
     out = Path(cfg["out"])
-    save_trajectory(rollout, out, generator=f"predict:{cfg['scheme']}", seed=cfg.get("seed"))
+    save_trajectory(rollout, out, generator=f"predict:{cfg['scheme']}", seed=cfg["seed"])
     _echo_config(cfg, "predict", out)
     logger.info("wrote %d predicted snapshots to %s", rollout.n_snapshots, out)
     return EXIT_OK
@@ -431,18 +401,14 @@ def _cmd_experiment(cfg: dict) -> int:
     runner = experiments.RUNNERS.get(cfg["name"])
     if runner is None:
         raise _UsageError(f"unknown study {cfg['name']!r}")
-    kwargs = {
-        "seed": int(cfg["seed"]),
-        "out_dir": cfg["out"],
-        "full": bool(cfg["full"]),
-    }
+    kwargs = {"seed": cfg["seed"], "out_dir": cfg["out"], "full": cfg["full"]}
     # a study takes an override exactly when its runner has a parameter of that name
     takes = inspect.signature(runner).parameters
-    for key, convert in (("epochs", int), ("potential", str), ("interaction", str), ("jobs", int)):
-        if cfg.get(key) is not None:
+    for key in ("epochs", "potential", "interaction", "jobs"):
+        if cfg[key] is not None:
             if key not in takes:
                 raise _UsageError(f"study {cfg['name']} does not take --{key}")
-            kwargs[key] = convert(cfg[key])
+            kwargs[key] = cfg[key]
     if "jobs" in takes:
         kwargs["jobs"] = _jobs(kwargs.get("jobs"))
     runner(**kwargs)

@@ -272,18 +272,23 @@ def evaluate(
 # model checkpoints
 
 
-def save_model(model, path: Path | str) -> None:
+def save_model(model, path: Path | str, **provenance) -> None:
+    """Write ``model`` as one JSON checkpoint; ``provenance`` keys ride along."""
     with open(path, "w") as fh:
-        json.dump(model.to_json(), fh, indent=2)
+        json.dump({**model.to_json(), **provenance}, fh, indent=2)
         fh.write("\n")
 
 
 def load_model(path: Path | str):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a checkpoint must hold a JSON object")
     kind = data.get("kind")
-    if kind == "mlp":
-        return MlpEnergyModel.from_json(data)
-    if kind == "linear":
-        return LinearEnergyModel.from_json(data)
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+    cls = {"mlp": MlpEnergyModel, "linear": LinearEnergyModel}.get(kind)
+    if cls is None:
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    try:
+        return cls.from_json(data)
+    except (KeyError, TypeError, ValueError) as exc:  # a missing key or a misshapen value
+        raise ValueError(f"{path}: malformed {kind} checkpoint: {exc!r}") from exc

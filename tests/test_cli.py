@@ -10,6 +10,7 @@ checks that the target resolves, parses the process's own arguments and turns
 its return value into the exit status.
 """
 
+import dataclasses
 import functools
 import json
 import os
@@ -24,12 +25,14 @@ import pytest
 import jkoflow
 from jkoflow import cli, experiments
 from jkoflow.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from jkoflow.datagen import GenConfig
 from jkoflow.measures import (
     PopulationTrajectory,
     load_coupling,
     load_trajectory,
     save_trajectory,
 )
+from jkoflow.ot import OtConfig
 from jkoflow.trainer import TrainConfig
 
 
@@ -105,6 +108,7 @@ def test_generate_is_idempotent(tmp_path, flat_dataset):
 def test_generate_requires_some_energy(tmp_path):
     code = run("generate", "--seed", "1", "--out", str(tmp_path / "d"))
     assert code == EXIT_USAGE
+    assert not (tmp_path / "d").exists()
 
 
 def test_generate_implicit_with_interaction(tmp_path):
@@ -344,6 +348,35 @@ def test_invalid_tau_exits_one(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize(
+    "name, payload",
+    [
+        ("list.json", [1, 2]),
+        ("no_theta.json", {"kind": "linear"}),
+        ("text_theta.json", {"kind": "linear", "theta": "abc"}),
+    ],
+    ids=["not-an-object", "missing-key", "misshapen-value"],
+)
+def test_malformed_checkpoints_exit_one_and_name_the_file(
+    flat_dataset, tmp_path, command, name, payload
+):
+    model_path = tmp_path / name
+    model_path.write_text(json.dumps(payload))
+    out_flag = "--report" if command == "evaluate" else "--out"
+    src = str(Path(jkoflow.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "jkoflow.cli", command, "--data", str(flat_dataset),
+         "--model", str(model_path), out_flag, str(tmp_path / "result")],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert str(model_path) in proc.stderr
+    assert not (tmp_path / "result").exists()
+
+
 def test_beta_noise_requires_seed(flat_dataset, tmp_path):
     model_path = tmp_path / "m.json"
     run(
@@ -559,6 +592,44 @@ def test_config_file_overrides_defaults_and_flags_override_config(tmp_path):
     assert echoed["steps"] == 3
     assert echoed["tau"] == 0.05
     assert echoed["seed"] == 4
+
+
+def test_config_file_route_equals_the_flag_route(tmp_path):
+    # an integer given for a real in the file is read as a real, as on the command line
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"beta": 0, "tau": 1}))
+    common = ["generate", "--potential", "flat", "--particles", "20", "--steps", "2", "--seed", "1"]
+    assert run(*common, "--config", str(cfg_path), "--out", str(tmp_path / "file")) == EXIT_OK
+    assert run(*common, "--beta", "0", "--tau", "1", "--out", str(tmp_path / "flag")) == EXIT_OK
+    for split in ("train", "test"):
+        names = sorted(p.name for p in (tmp_path / "flag" / split).iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "file" / split).iterdir())
+        for name in names:
+            flag_bytes = (tmp_path / "flag" / split / name).read_bytes()
+            assert flag_bytes == (tmp_path / "file" / split / name).read_bytes(), (split, name)
+    echoed = []
+    for route in ("file", "flag"):
+        with open(tmp_path / route / "generate_config.json") as fh:
+            cfg = json.load(fh)
+        assert cfg.pop("out") == str(tmp_path / route)
+        echoed.append(json.dumps(cfg))  # text, so 0 and 0.0 differ
+    assert echoed[0] == echoed[1]
+
+
+# keys a command reads itself instead of handing them to a config field
+READ_BY_THE_COMMAND = {
+    "data", "out", "potential", "interaction", "beta", "hidden", "poly_degree", "jobs",
+}
+
+
+@pytest.mark.parametrize(
+    "command, configs",
+    [("generate", [GenConfig]), ("couple", [OtConfig]), ("train", [TrainConfig, OtConfig])],
+)
+def test_every_flag_reaches_a_config_field_or_its_command(command, configs):
+    fields = {f.name for cls in configs for f in dataclasses.fields(cls)}
+    for key in cli._FLAGS[command]:
+        assert cli._FIELD_OF.get(key, key) in fields or key in READ_BY_THE_COMMAND, key
 
 
 @pytest.mark.parametrize(

@@ -540,6 +540,14 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.beta == mlp.beta
     np.testing.assert_array_equal(loaded.grad_potential(x), mlp.grad_potential(x))
 
+    # extra keywords ride along in the file and leave the loaded model as it was
+    for model, name in [(linear, "linear_run.json"), (mlp, "mlp_run.json")]:
+        save_model(model, tmp_path / name, loss_history=[1.0])
+        assert json.loads((tmp_path / name).read_text())["loss_history"] == [1.0]
+        loaded = load_model(tmp_path / name)
+        assert loaded.to_json() == model.to_json()
+        np.testing.assert_array_equal(loaded.grad_potential(x), model.grad_potential(x))
+
 
 def test_load_model_rejects_unknown_kind(tmp_path):
     path = tmp_path / "weird.json"
