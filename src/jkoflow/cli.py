@@ -212,7 +212,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if not path.is_file():
             raise _UsageError(f"config file not found: {path}")
         with open(path) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise _UsageError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise _UsageError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(resolved)
@@ -346,18 +349,17 @@ def _cmd_train(cfg: dict) -> int:
 
 def _load_for_rollout(cfg: dict, *required: str):
     """The checks and loads that evaluate and predict share: the test-side
-    trajectory directory, its trajectory and the model."""
+    trajectory directory, its trajectory, the model and its checkpoint's
+    payload."""
     _require(cfg, "data", "model", *required)
     if cfg["beta_noise"] and cfg["seed"] is None:
         raise _UsageError("--beta-noise requires --seed")
     traj_dir = _trajectory_dir(cfg["data"], "test")
-    return traj_dir, load_trajectory(traj_dir), trainer.load_model(cfg["model"])
+    return traj_dir, load_trajectory(traj_dir), *trainer.load_checkpoint(cfg["model"])
 
 
 def _cmd_evaluate(cfg: dict) -> int:
-    traj_dir, test, model = _load_for_rollout(cfg, "report")
-    with open(cfg["model"]) as fh:
-        model_payload = json.load(fh)
+    traj_dir, test, model, model_payload = _load_for_rollout(cfg, "report")
     report = trainer.evaluate(
         model, test, scheme=cfg["scheme"], beta_noise=cfg["beta_noise"], seed=cfg["seed"] or 0
     )
@@ -377,7 +379,7 @@ def _cmd_evaluate(cfg: dict) -> int:
 
 
 def _cmd_predict(cfg: dict) -> int:
-    _, traj, model = _load_for_rollout(cfg, "out")
+    _, traj, model, _ = _load_for_rollout(cfg, "out")
     start_index = cfg["from_index"]
     if not 0 <= start_index < traj.n_snapshots:
         raise ValueError(f"from_index {start_index} out of range for {traj.n_snapshots} snapshots")

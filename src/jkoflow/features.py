@@ -177,7 +177,7 @@ def jacobian_features(
                 # budget, so a call maps (and page-faults) no more memory
                 # than one kernel block
                 m = pairs.shape[1]
-                rows = max(1, min(len(pairs), measures.PAIR_BUDGET // (2 * d * width * m)))
+                rows = measures.budget_rows(2 * d * width * m, most=len(pairs))
                 buffer = [np.empty((2, rows, axis.size, m)) for axis in fm._grid_axes]
             out[block, first_bump:] = _grid_pair_means(fm, pairs, weights, buffer)
         elif fm.rbf_centers is not None:

@@ -31,11 +31,12 @@ import numpy as np
 
 WEIGHT_ATOL = 1e-9
 COUPLING_ATOL = 1e-8
-# float64 entries in the widest per-pair array of one pair block.  2**17
-# entries (1 MiB) keep a block and its companion arrays within one core's
-# 2 MiB of L2.  Swept over 64k-8M entries in both BLAS thread modes (2-CPU
-# Xeon, OpenBLAS 0.3.31), 64k-250k were level and fastest on the general_linear
-# and general_mlp benchmark workloads; 8M, the earlier value, was up to 45% slower.
+# entries in the widest per-pair array of one pair block (``budget_rows``).
+# 2**17 float64 entries (1 MiB; half that in float32) keep a block and its
+# companion arrays within one core's 2 MiB of L2.  Swept over 64k-8M entries
+# in both BLAS thread modes (2-CPU Xeon, OpenBLAS 0.3.31), 64k-250k were level
+# and fastest on the general_linear and general_mlp benchmark workloads; 8M,
+# the earlier value, was up to 45% slower.
 PAIR_BUDGET = 131_072
 # exp(-707) is about 9.0e-308, just above the smallest normal float64 (2.2e-308)
 EXP_FLOOR = -707.0
@@ -217,13 +218,20 @@ def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.exp(x - peak).sum(axis=axis)) + peak.squeeze(axis)
 
 
+def budget_rows(entries_per_row: int, most: int | None = None) -> int:
+    """Rows of ``entries_per_row`` entries each that fit in ``PAIR_BUDGET``
+    entries, and no more than ``most``; at least one row."""
+    rows = PAIR_BUDGET // entries_per_row
+    return max(1, rows if most is None else min(most, rows))
+
+
 def pair_chunks(
     x: np.ndarray, points: np.ndarray, width: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Row blocks of ``x`` with their differences x_i - y_j, pair (i, j) in row
     i * len(points) + j.  A block keeps the caller's widest per-pair array,
     ``width`` entries a pair, within ``PAIR_BUDGET``; an empty ``x`` is one block."""
-    rows = max(1, PAIR_BUDGET // (points.shape[0] * width))
+    rows = budget_rows(points.shape[0] * width)
     for start in range(0, max(x.shape[0], 1), rows):
         block = slice(start, start + rows)
         yield block, (x[block, None, :] - points[None, :, :]).reshape(-1, x.shape[1])

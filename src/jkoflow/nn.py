@@ -9,7 +9,15 @@ both passes once over a batch and returns the input gradients together with
 a pullback that maps a cotangent on them to parameter gradients, reusing the
 pass's activations instead of recomputing them; ``gradient_and_adjoint`` and
 the fitting loss are built on it.  ``input_gradient`` runs the same passes
-without keeping a tape.  Everything is float64 numpy.
+without keeping a tape.
+
+A tape computes in the dtype of its batch and weights.  The nets, their
+checkpoints, ``input_gradient`` and ``gradient_and_adjoint`` are float64.
+``loss_and_param_gradient`` takes a ``dtype`` for its tapes (float64 by
+default; training asks for float32): it runs them on a float32 copy of the
+weights and inputs, and keeps the residual, the loss and the returned
+gradients in float64, so the optimizer's master weights and moments stay
+float64 (mixed precision training, Micikevicius et al. 2018).
 
 The passes do only the work a gradient reads.  No gradient reads the net's
 value, so they compute neither the output nor the last hidden layer's
@@ -95,8 +103,8 @@ def _buffer_size(rows: int, widths: list[int]) -> int:
 
 
 class _Slab:
-    """The batch-sized float64 arrays of one pass, cut in turn from a single
-    allocation.
+    """The batch-sized arrays of one pass, in the pass's dtype, cut in turn
+    from a single allocation.
 
     glibc serves a large request by mmap and, when such a block is freed,
     lifts its mmap threshold to that block's size and its trim threshold to
@@ -106,8 +114,8 @@ class _Slab:
     every pair block and its pages faulted in again on the next one.
     """
 
-    def __init__(self, size: int) -> None:
-        self._flat = np.empty(size)
+    def __init__(self, size: int, dtype: np.dtype = np.float64) -> None:
+        self._flat = np.empty(size, dtype=dtype)
         self.used = 0
 
     def take(self, *shape: int) -> np.ndarray:
@@ -215,6 +223,7 @@ def _tape(mlp: Mlp, xb: np.ndarray):
     """Input gradients G of a 2-d batch, and the pullback
     cot -> (d_weights, d_biases) of sum_b <cot_b, G_b>.
 
+    Both run in ``xb``'s dtype, which ``mlp``'s weights and ``cot`` share.
     The pullback closes over this pass's activations, sigmoids and P/Q
     arrays, so they stay alive as long as it does; see
     ``gradient_and_adjoint`` for the equations.  Its own batch-sized arrays
@@ -225,7 +234,7 @@ def _tape(mlp: Mlp, xb: np.ndarray):
     rows = xb.shape[0]
     widths, inner, total = _hidden_widths(mlp)
     # forward A, S; backward P, Q; pullback Pbar (then Sbar), Qbar and Abar
-    slab = _Slab(rows * (3 * inner + 4 * total) + _buffer_size(rows, widths))
+    slab = _Slab(rows * (3 * inner + 4 * total) + _buffer_size(rows, widths), xb.dtype)
     activations: list[np.ndarray] = []
     sigmoids = _hidden_sigmoids(mlp, xb, slab, activations)
 
@@ -428,6 +437,14 @@ def softplus_inverse(y: float) -> float:
 # the fitting objective
 
 
+def _cast(mlp: Mlp, dtype: np.dtype) -> Mlp:
+    # the net itself when it is already in ``dtype``
+    return Mlp(
+        [w.astype(dtype, copy=False) for w in mlp.weights],
+        [b.astype(dtype, copy=False) for b in mlp.biases],
+    )
+
+
 def loss_and_param_gradient(
     model: MlpEnergyModel,
     x_start: np.ndarray,
@@ -440,6 +457,7 @@ def loss_and_param_gradient(
     steps: np.ndarray | None = None,
     interaction_subsample: int = 0,
     subsample_rng: np.random.Generator | None = None,
+    dtype: np.dtype = np.float64,
 ) -> tuple[float, list[np.ndarray]]:
     """Mass-weighted squared residual over coupled pairs, with exact parameter
     gradients.
@@ -461,14 +479,20 @@ def loss_and_param_gradient(
     the parameter gradients.  The interaction net gets one tape per step and
     pair block of ``measures.pair_chunks``, whose budget bounds each of that
     tape's arrays.
+
+    The tapes run in ``dtype``: each net's weights are cast once per call,
+    the potential net's inputs once, and each step's end points and
+    population once, so the pair differences come out in ``dtype``.  The
+    residual, the loss and the returned gradients are float64 whatever
+    ``dtype`` is.
     """
     x_start = np.atleast_2d(np.asarray(x_start, dtype=np.float64))
     x_end = np.atleast_2d(np.asarray(x_end, dtype=np.float64))
     masses = np.asarray(masses, dtype=np.float64)
     d = model.dim
 
-    inputs_v = model._with_time(x_end, times)
-    grad_v, pullback_v = _tape(model.potential_net, inputs_v)
+    inputs_v = model._with_time(x_end, times).astype(dtype, copy=False)
+    grad_v, pullback_v = _tape(_cast(model.potential_net, dtype), inputs_v)
     residual = grad_v[:, :d] + (x_end - x_start) / tau
 
     net_int = model.interaction_net
@@ -478,8 +502,10 @@ def loss_and_param_gradient(
             raise ValueError("interaction term needs the next snapshots")
         steps = np.zeros(x_end.shape[0], dtype=np.int64) if steps is None else steps
         blocks = _pair_blocks(
-            x_end, steps, populations, net_int.width, interaction_subsample, subsample_rng
+            x_end, steps, populations, net_int.width, interaction_subsample, subsample_rng,
+            dtype,
         )
+        tape_int = _cast(net_int, dtype)
         grads_int = [np.zeros_like(p) for p in (*net_int.weights, *net_int.biases)]
 
     if model.beta_raw is not None:
@@ -492,7 +518,7 @@ def loss_and_param_gradient(
     cot = np.empty_like(residual)
     for rows, diff, pop_weights in blocks:
         if net_int is not None:
-            g, pullback_int = _tape(net_int, diff)
+            g, pullback_int = _tape(tape_int, diff)
             g = g.reshape(-1, pop_weights.shape[0], d)
             residual[rows] += np.einsum("bnd,n->bd", g, pop_weights)
         if model.beta_raw is not None:
@@ -501,9 +527,11 @@ def loss_and_param_gradient(
         if net_int is not None:
             # pair (i, j) contributes weight w_j inside the mean, so its
             # cotangent is w_j * cot_i
-            pair_cot = (cot[rows, None, :] * pop_weights[None, :, None]).reshape(-1, d)
+            cot_rows = cot[rows].astype(dtype, copy=False)
+            tape_weights = pop_weights.astype(dtype, copy=False)
+            pair_cot = (cot_rows[:, None, :] * tape_weights[None, :, None]).reshape(-1, d)
             for acc, delta in zip(grads_int, chain(*pullback_int(pair_cot))):
-                acc += delta
+                acc += delta  # accumulated in float64
             del diff, g, pullback_int, pair_cot  # free the tape before the next block's
 
     loss = float(masses @ (residual**2).sum(axis=1))
@@ -512,9 +540,9 @@ def loss_and_param_gradient(
         cot_v = np.hstack([cot, np.zeros((cot.shape[0], 1))])
     else:
         cot_v = cot
-    dw_pot, db_pot = pullback_v(cot_v)
+    dw_pot, db_pot = pullback_v(cot_v.astype(dtype, copy=False))
 
-    grads = list(dw_pot) + list(db_pot)
+    grads = [g.astype(np.float64, copy=False) for g in chain(dw_pot, db_pot)]
     if net_int is not None:
         grads += grads_int
     if model.beta_raw is not None:
@@ -523,8 +551,9 @@ def loss_and_param_gradient(
     return loss, grads
 
 
-def _pair_blocks(x_end, steps, populations, width, subsample, rng):
-    """(rows, pair differences, population weights) per block, steps ascending."""
+def _pair_blocks(x_end, steps, populations, width, subsample, rng, dtype):
+    """(rows, pair differences in ``dtype``, population weights) per block,
+    steps ascending."""
     for t in np.unique(steps):
         group = np.flatnonzero(steps == t)
         points, weights = populations[t]
@@ -534,7 +563,8 @@ def _pair_blocks(x_end, steps, populations, width, subsample, rng):
             idx = rng.choice(points.shape[0], size=subsample, replace=False, p=weights)
             points = points[idx]
             weights = np.full(subsample, 1.0 / subsample)
-        for rows, diff in pair_chunks(x_end[group], points, width):
+        ends, points = x_end[group].astype(dtype, copy=False), points.astype(dtype, copy=False)
+        for rows, diff in pair_chunks(ends, points, width):
             yield group[rows], diff, weights
 
 

@@ -119,7 +119,7 @@ def _fit_gmms(
     gmms: list[GaussianMixture | None] = [None] * len(train.snapshots)
     for n, steps in by_count.items():
         k = min(cfg.gmm_k, n)
-        per_stack = max(1, measures.PAIR_BUDGET // (k * train.dim * n))
+        per_stack = measures.budget_rows(k * train.dim * n)
         for start in range(0, len(steps), per_stack):
             stack = steps[start : start + per_stack]
             fitted = fit_gmm(
@@ -221,6 +221,7 @@ def _fit_mlp(
                 steps=step_of_pair[idx],
                 interaction_subsample=cfg.interaction_subsample,
                 subsample_rng=subsample_rng,
+                dtype=np.float32,  # float32 tapes; the weights and Adam stay float64
             )
             if not np.isfinite(batch_loss):
                 raise RuntimeError(
@@ -280,8 +281,17 @@ def save_model(model, path: Path | str, **provenance) -> None:
 
 
 def load_model(path: Path | str):
+    return load_checkpoint(path)[0]
+
+
+def load_checkpoint(path: Path | str) -> tuple[MlpEnergyModel | LinearEnergyModel, dict]:
+    """The model a checkpoint holds, and the checkpoint's whole payload (its
+    provenance keys too), from one read.  Every error names the file."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a checkpoint must hold a JSON object")
     kind = data.get("kind")
@@ -289,6 +299,6 @@ def load_model(path: Path | str):
     if cls is None:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     try:
-        return cls.from_json(data)
+        return cls.from_json(data), data
     except (KeyError, TypeError, ValueError) as exc:  # a missing key or a misshapen value
         raise ValueError(f"{path}: malformed {kind} checkpoint: {exc!r}") from exc

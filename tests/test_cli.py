@@ -355,14 +355,16 @@ def test_invalid_tau_exits_one(tmp_path):
         ("list.json", [1, 2]),
         ("no_theta.json", {"kind": "linear"}),
         ("text_theta.json", {"kind": "linear", "theta": "abc"}),
+        ("truncated.json", "{"),
     ],
-    ids=["not-an-object", "missing-key", "misshapen-value"],
+    ids=["not-an-object", "missing-key", "misshapen-value", "not-json"],
 )
 def test_malformed_checkpoints_exit_one_and_name_the_file(
     flat_dataset, tmp_path, command, name, payload
 ):
+    # a str payload is the file's text as it stands
     model_path = tmp_path / name
-    model_path.write_text(json.dumps(payload))
+    model_path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     out_flag = "--report" if command == "evaluate" else "--out"
     src = str(Path(jkoflow.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -645,17 +647,19 @@ def test_every_flag_reaches_a_config_field_or_its_command(command, configs):
         ({"tau": False}, "'tau' must be a number"),
         ({"interaction": 7}, "'interaction' must be a string"),
         ({"scheme": "Explicit"}, "'scheme' must be one of"),
+        ("{", "cfg.json: not valid JSON"),
     ],
     ids=[
         "missing-file", "unknown-key", "not-an-object", "float-for-int", "bool-for-int",
         "list-for-int", "string-for-float", "bool-for-float", "number-for-string",
-        "not-a-choice",
+        "not-a-choice", "not-json",
     ],
 )
 def test_bad_config_files_exit_one(tmp_path, content, message, capsys):
+    # a str content is the file's text as it stands
     cfg_path = tmp_path / "cfg.json"
     if content is not None:
-        cfg_path.write_text(json.dumps(content))
+        cfg_path.write_text(content if isinstance(content, str) else json.dumps(content))
     code = run(
         "generate",
         "--config", str(cfg_path),

@@ -19,6 +19,7 @@ from jkoflow import (
 from jkoflow.measures import (
     EXP_FLOOR,
     as_batch,
+    budget_rows,
     check_coupling_marginals,
     coupling_path,
     exp_flushed,
@@ -305,3 +306,13 @@ class TestExpFlushed:
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
         assert logsumexp(x, axis=1)[0] == -np.inf
         assert logsumexp(x, axis=1)[1] == 2.0
+
+
+def test_budget_rows_fit_the_budget_and_take_at_least_one_row(monkeypatch):
+    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 1000)
+    assert budget_rows(10) == 100
+    assert budget_rows(300) == 3  # rounded down
+    assert budget_rows(5000) == 1  # one row even over the budget
+    assert budget_rows(10, most=40) == 40
+    assert budget_rows(10, most=400) == 100
+    assert budget_rows(10, most=0) == 1

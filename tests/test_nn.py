@@ -793,6 +793,68 @@ def test_multi_step_batch_matches_sum_of_single_step_calls(case, monkeypatch):
         assert np.abs(np.asarray(got) - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("case", ["potential", "time", "star"])
+def test_float32_tapes_match_float64_loss_and_gradients(case, monkeypatch):
+    # (64, 64) nets and a 250-pair batch, as training runs them; the star
+    # batch mixes three steps and spans several pair blocks a step
+    rng = _rng(38)
+    n, tau = 250, 0.01
+    kwargs = {}
+    if case == "potential":
+        model = build_model(dim=2, seed=30)
+    elif case == "time":
+        model = build_model(dim=2, seed=31, time_conditioned=True)
+        kwargs = {"times": rng.integers(1, 6, size=n) / 5}
+    else:
+        model = build_model(dim=2, seed=32, with_interaction=True, with_internal=True)
+        populations = []
+        for count in (150, 140, 160):
+            pw = rng.uniform(0.5, 1.0, size=count)
+            populations.append((2.0 * rng.normal(size=(count, 2)), pw / pw.sum()))
+        kwargs = {
+            "scores": rng.normal(size=(n, 2)),
+            "populations": populations,
+            "steps": rng.integers(0, 3, size=n),
+        }
+    x0 = 2.0 * rng.normal(size=(n, 2))
+    x1 = x0 + tau * rng.normal(size=(n, 2))
+    masses = np.full(n, 1.0 / n)
+    want_loss, want_grads = loss_and_param_gradient(model, x0, x1, masses, tau, **kwargs)
+
+    tapes = []
+    tape = nn._tape
+    monkeypatch.setattr(
+        nn, "_tape",
+        lambda mlp, xb: tapes.append({xb.dtype, *(a.dtype for a in mlp.weights + mlp.biases)})
+        or tape(mlp, xb),
+    )
+    loss, grads = loss_and_param_gradient(model, x0, x1, masses, tau, dtype=np.float32, **kwargs)
+    assert all(dtypes == {np.dtype(np.float32)} for dtypes in tapes)
+    if case == "star":
+        assert len(tapes) > 1 + 2 * len(populations)
+    assert isinstance(loss, float)
+    assert [np.asarray(g).dtype for g in grads] == [np.dtype(np.float64)] * len(grads)
+    assert [np.shape(g) for g in grads] == [np.shape(p) for p in model.parameters()]
+    assert loss == pytest.approx(want_loss, rel=1e-6)
+    got = np.concatenate([np.ravel(g) for g in grads])
+    want = np.concatenate([np.ravel(g) for g in want_grads])
+    assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+
+
+def test_float32_tapes_leave_the_nets_float64():
+    model = build_model(dim=2, seed=33, with_interaction=True, with_internal=True, hidden=(6,))
+    before = [p.copy() for p in model.parameters()]
+    rng = _rng(39)
+    x0, x1 = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
+    loss_and_param_gradient(
+        model, x0, x1, np.full(8, 0.125), 0.1, scores=rng.normal(size=(8, 2)),
+        populations=[(rng.normal(size=(5, 2)), np.full(5, 0.2))], dtype=np.float32,
+    )
+    for p, q in zip(model.parameters(), before):
+        assert p.dtype == np.float64
+        np.testing.assert_array_equal(p, q)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 

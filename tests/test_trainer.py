@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import jkoflow.trainer as trainer_mod
-from jkoflow import density, ot
+from jkoflow import density, nn, ot
 from jkoflow.datagen import IMPLICIT_TOL, SCHEMES, GatedQuadratic, GenConfig, _step_rng, generate
 from jkoflow.density import GaussianMixture, score
 from jkoflow.features import polynomial_map
@@ -242,6 +242,41 @@ def test_mlp_fit_is_deterministic_and_seed_sensitive():
         not np.array_equal(pa, pc)
         for pa, pc in zip(a.model.parameters(), c.model.parameters())
     )
+
+
+def test_star_fit_keeps_float64_master_state_and_round_trips(tmp_path, monkeypatch):
+    # the tapes run in float32; the parameters, Adam's moments and the
+    # gradients Adam takes stay float64, and so does the checkpoint
+    traj = _implicit_quadratic(n=12)
+    cfg = TrainConfig(variant="star", epochs=3, batch_pairs=8, hidden=(8,), gmm_k=2, seed=5)
+    steps, tape_dtypes = [], set()
+    adam_step = trainer_mod.adam_step
+    monkeypatch.setattr(
+        trainer_mod, "adam_step",
+        lambda state, params, grads: steps.append((state, grads)) or adam_step(state, params, grads),
+    )
+    tape = nn._tape
+    monkeypatch.setattr(nn, "_tape", lambda mlp, xb: tape_dtypes.add(xb.dtype) or tape(mlp, xb))
+    result = fit(traj, cfg)
+    monkeypatch.undo()
+    model = result.model
+    assert model.interaction_net is not None and model.beta_raw is not None
+    assert tape_dtypes == {np.dtype(np.float32)}
+    assert len(steps) == 3 * 3  # 24 pairs in batches of 8, three epochs
+    assert all(p.dtype == np.float64 for p in model.parameters())
+    for state, grads in steps:
+        assert all(np.asarray(g).dtype == np.float64 for g in grads)
+        assert all(m.dtype == np.float64 for m in state.first + state.second)
+    save_model(model, tmp_path / "star.json")
+    loaded = load_model(tmp_path / "star.json")
+    assert loaded.to_json() == model.to_json()
+    for p, q in zip(loaded.parameters(), model.parameters()):
+        assert p.dtype == np.float64
+        np.testing.assert_array_equal(p, q)
+    again = fit(traj, cfg)
+    assert again.loss_history == result.loss_history
+    for p, q in zip(again.model.parameters(), model.parameters()):
+        np.testing.assert_array_equal(p, q)
 
 
 def test_fit_couples_each_pair_exactly_once():
