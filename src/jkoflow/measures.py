@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -40,6 +41,8 @@ COUPLING_ATOL = 1e-8
 PAIR_BUDGET = 131_072
 # exp(-707) is about 9.0e-308, just above the smallest normal float64 (2.2e-308)
 EXP_FLOOR = -707.0
+# one row of a coupling file
+_COUPLING_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("mass", np.float64)])
 
 
 @dataclass
@@ -262,10 +265,13 @@ def coupling_path(directory: Path | str, source_time: int, target_time: int) -> 
 
 
 def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
-    # %.17g round-trips float64 exactly, keeping save/load bit-identical.
+    # %.17g round-trips float64 exactly, keeping save/load bit-identical; one
+    # format string for the whole table writes what np.savetxt's per-row
+    # loop writes
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def save_trajectory(
@@ -299,38 +305,73 @@ def save_trajectory(
         _write_csv(_snapshot_path(directory, snap.time_index), header, rows)
 
 
-def _parse_rows(path: Path, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one snapshot CSV into (points, weights); errors name file and row."""
-    points: list[list[float]] = []
-    weights: list[float] = []
+def _blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _read_csv(
+    path: Path,
+    widths: tuple[int, ...],
+    header: Callable[[list[str]], bool],
+    dtype: np.dtype | type = np.float64,
+) -> np.ndarray:
+    """The data rows of a CSV file, all of one column count from ``widths``.
+
+    Blank rows are skipped, and so is row 0 when ``header`` takes it for a
+    header.  A plain ``dtype`` gives an (N, width) array, a structured one N
+    records.  ``np.loadtxt`` reads a well-formed file in one call; a file it
+    rejects is read again row by row with ``csv.reader`` and Python's
+    ``float`` and ``int``, which words the error with the file and the row
+    (or reads what loadtxt does not, such as quoted cells).
+    """
+    dtype = np.dtype(dtype)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row_idx, row in enumerate(reader):
-            if not row or (len(row) == 1 and not row[0].strip()):
+        first = next(csv.reader(fh), [])
+    skip = int(not _blank(first) and header(first))
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on a file of no rows (and numpy < 2 on "1.0" read as
+            # an int); the row loop words the first and rejects the second
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, skiprows=skip,
+                ndmin=1 if dtype.names else 2,
+            )
+        if dtype.names or table.shape[1] in widths:
+            return table
+    except (ValueError, Warning):
+        pass
+
+    columns = [dtype[k] for k in range(len(dtype))] if dtype.names else [dtype] * max(widths)
+    kinds = [int if column.kind == "i" else float for column in columns]
+    rows: list[tuple] = []
+    with open(path, newline="") as fh:
+        for row_idx, row in enumerate(csv.reader(fh)):
+            if _blank(row) or (row_idx == 0 and header(row)):
                 continue
-            if row_idx == 0 and any(cell.strip().startswith("x") for cell in row):
-                continue  # header
-            if len(row) not in (dim, dim + 1):
+            if len(row) not in widths:
+                expected = " or ".join(map(str, widths))
                 raise ValueError(
-                    f"{path}, row {row_idx}: expected {dim} or {dim + 1} columns, got {len(row)}"
+                    f"{path}, row {row_idx}: expected {expected} columns, got {len(row)}"
                 )
             try:
-                values = [float(cell) for cell in row]
+                rows.append(tuple(kind(cell) for kind, cell in zip(kinds, row)))
             except ValueError:
                 raise ValueError(f"{path}, row {row_idx}: non-numeric entry in {row!r}") from None
-            points.append(values[:dim])
-            if len(values) == dim + 1:
-                weights.append(values[dim])
-    if not points:
-        raise ValueError(f"{path}: no particle rows found")
-    pts = np.asarray(points, dtype=np.float64)
-    if weights and len(weights) != len(points):
-        raise ValueError(f"{path}: weight column present on only some rows")
-    if weights:
-        w = np.asarray(weights, dtype=np.float64)
-    else:
-        w = np.full(len(points), 1.0 / len(points))
-    return pts, w
+    if not rows:
+        raise ValueError(f"{path}: no data rows found")
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError(f"{path}: some rows have {min(widths)} columns and some {max(widths)}")
+    return np.array(rows, dtype=dtype)
+
+
+def _parse_rows(path: Path, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one snapshot CSV into (points, weights); errors name file and row."""
+    table = _read_csv(path, (dim, dim + 1), lambda row: any(c.strip().startswith("x") for c in row))
+    pts = np.ascontiguousarray(table[:, :dim])
+    if table.shape[1] == dim + 1:
+        return pts, table[:, dim].copy()
+    return pts, np.full(len(pts), 1.0 / len(pts))
 
 
 def load_trajectory(directory: Path | str) -> PopulationTrajectory:
@@ -344,7 +385,10 @@ def load_trajectory(directory: Path | str) -> PopulationTrajectory:
     if not meta_path.exists():
         raise FileNotFoundError(f"{meta_path} not found")
     with open(meta_path) as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{meta_path}: not valid JSON: {exc}") from exc
     for key in ("tau", "dim", "timesteps"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing required key {key!r}")
@@ -373,25 +417,8 @@ def load_coupling(directory: Path | str, source_time: int, target_time: int) -> 
     path = coupling_path(directory, source_time, target_time)
     if not path.exists():
         raise FileNotFoundError(f"{path} not found")
-    src: list[int] = []
-    tgt: list[int] = []
-    mass: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row_idx, row in enumerate(reader):
-            if not row:
-                continue
-            if row_idx == 0 and row[0].strip() == "i":
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}, row {row_idx}: expected 3 columns, got {len(row)}")
-            try:
-                src.append(int(row[0]))
-                tgt.append(int(row[1]))
-                mass.append(float(row[2]))
-            except ValueError:
-                raise ValueError(f"{path}, row {row_idx}: malformed entry {row!r}") from None
-    return Coupling(source_time, target_time, np.array(src), np.array(tgt), np.array(mass))
+    table = _read_csv(path, (3,), lambda row: row[0].strip() == "i", _COUPLING_ROW)
+    return Coupling(source_time, target_time, table["i"], table["j"], table["mass"])
 
 
 def split_train_test(

@@ -168,45 +168,61 @@ def _least_cost_start(
 
 def _hang(
     adj: list[set[int]],
-    cost: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
+    crows: list[list[float]],
+    u: list[float],
+    v: list[float],
     parent: list[int],
+    depth: list[int],
     start: int,
     via: int,
 ) -> list[int]:
     """Hang the tree component of ``start`` below ``via`` (-1: make it the root).
 
     Walks the component without crossing back to ``via``, sets each node's
-    parent, and sets its dual from the tree arc to its parent, u_i + v_j =
-    cost_ij, with u = 0 at a root.  Returns the nodes walked, ``start`` first.
+    parent and depth, and sets its dual from the tree arc to its parent,
+    u_i + v_j = cost_ij, with u = 0 at a root.  ``crows`` holds the cost rows
+    as lists.  Returns the nodes walked, ``start`` first.
     """
-    n = u.shape[0]
+    n = len(u)
     parent[start] = via
+    depth[start] = 0 if via < 0 else depth[via] + 1
     nodes = [start]
     for node in nodes:
         p = parent[node]
         if node < n:
-            u[node] = 0.0 if p < 0 else cost[node, p - n] - v[p - n]
+            u[node] = 0.0 if p < 0 else crows[node][p - n] - v[p - n]
         else:
-            v[node - n] = cost[p, node - n] - u[p]
+            v[node - n] = crows[p][node - n] - u[p]
+        below = depth[node] + 1
         for nb in adj[node]:
             if nb != p:
                 parent[nb] = node
+                depth[nb] = below
                 nodes.append(nb)
     return nodes
 
 
-def _tree_path(parent: list[int], start: int, goal: int) -> list[int]:
-    """Nodes on the tree path from ``start`` to ``goal``, both included."""
-    up = [start]
-    while parent[up[-1]] >= 0:
-        up.append(parent[up[-1]])
-    depth = {node: k for k, node in enumerate(up)}
-    down = [goal]
-    while down[-1] not in depth:
-        down.append(parent[down[-1]])
-    return up[: depth[down[-1]]] + down[::-1]
+def _tree_path(parent: list[int], depth: list[int], start: int, goal: int) -> list[int]:
+    """Nodes on the tree path from ``start`` to ``goal``, both included.
+
+    The deeper end climbs until both ends sit at one depth, then both climb
+    until they meet, so the walk stops at the two ends' nearest common
+    ancestor instead of the root.
+    """
+    up, down = [start], [goal]
+    x, y = start, goal
+    while depth[x] > depth[y]:
+        x = parent[x]
+        up.append(x)
+    while depth[y] > depth[x]:
+        y = parent[y]
+        down.append(y)
+    while x != y:
+        x, y = parent[x], parent[y]
+        up.append(x)
+        down.append(y)
+    down.pop()
+    return up + down[::-1]
 
 
 def _entering(reduced: np.ndarray, opt_tol: float, bland: bool) -> tuple[int, int] | None:
@@ -235,13 +251,14 @@ def _transport_simplex(
     row-major order), which cannot cycle.  Leaving variable: smallest
     allocation on the shrinking arcs, lowest (i, j) on ties.
 
-    The basis is kept as a tree rooted at row 0, and the duals are set by one
-    walk of it.  A pivot walks only the subtree that the leaving arc cuts off
-    and the entering arc re-hangs: its duals are set again from their tree
-    arcs, so they always equal a full walk's, and the reduced costs move by
-    row and column shifts of the entering cell's reduced cost.  Before the
-    plan is declared optimal the reduced costs are rebuilt from the duals, so
-    the exit test does not see the rounding those shifts accumulate.
+    The basis is kept as a tree rooted at row 0, with each node's parent and
+    depth, and the duals are set by one walk of it.  A pivot walks only the
+    subtree that the leaving arc cuts off and the entering arc re-hangs: its
+    duals are set again from their tree arcs, so they always equal a full
+    walk's.  The cycle is found by climbing from the entering cell's two ends
+    to where they meet.  Tree state and duals are Python lists, read against
+    the cost rows as lists, and each pivot takes its reduced costs fresh from
+    the duals, so the entering and exit tests never see accumulated rounding.
     """
     n, m = cost.shape
     alloc = _least_cost_start(a, b, cost)
@@ -256,28 +273,23 @@ def _transport_simplex(
     bland_after = 50 * (n + m)
     max_pivots = 2000 + 400 * (n + m)
 
-    u = np.empty(n)
-    v = np.empty(m)
+    crows = cost.tolist()
+    u = [0.0] * n
+    v = [0.0] * m
     parent = [-1] * (n + m)
-    if len(_hang(adj, cost, u, v, parent, 0, -1)) != n + m:
+    depth = [0] * (n + m)
+    if len(_hang(adj, crows, u, v, parent, depth, 0, -1)) != n + m:
         raise _SimplexError("basis lost connectivity")
-    reduced = cost - u[:, None] - v[None, :]
-    rebuilt = True
 
     for pivot in range(max_pivots):
-        bland = pivot >= bland_after
-        entry = _entering(reduced, opt_tol, bland)
-        if entry is None and not rebuilt:
-            reduced = cost - u[:, None] - v[None, :]
-            rebuilt = True
-            entry = _entering(reduced, opt_tol, bland)
+        reduced = cost - np.array(u)[:, None] - np.array(v)
+        entry = _entering(reduced, opt_tol, pivot >= bland_after)
         if entry is None:
             break
-        rebuilt = False
         ei, ej = entry
 
         # cycle: entering arc plus the unique tree path between its endpoints
-        path = _tree_path(parent, ei, n + ej)
+        path = _tree_path(parent, depth, ei, n + ej)
         # path edges alternate -,+,-,... starting and ending with - (odd length)
         minus_edges = []
         plus_edges = []
@@ -301,14 +313,11 @@ def _transport_simplex(
         # the leaving arc's child end lies on the path's up leg (ei's side)
         # or its down leg (the column's side); that side is re-hung
         k = minus_edges.index(leaving) * 2
-        delta = reduced[ei, ej]
         if parent[path[k]] == path[k + 1]:
-            start, via, shift = ei, n + ej, delta
+            start, via = ei, n + ej
         else:
-            start, via, shift = n + ej, ei, -delta
-        nodes = _hang(adj, cost, u, v, parent, start, via)
-        reduced[[x for x in nodes if x < n]] -= shift
-        reduced[:, [x - n for x in nodes if x >= n]] += shift
+            start, via = n + ej, ei
+        _hang(adj, crows, u, v, parent, depth, start, via)
     else:
         raise _SimplexError(
             f"transportation simplex exceeded {max_pivots} pivots "
@@ -333,10 +342,11 @@ def solve_exact(
     Deterministic: ties in pivoting are broken toward the lexicographically
     lowest cell.  For uniform weights with equal particle counts the plan is a
     permutation and is found by assignment instead of simplex.  Otherwise the
-    transportation simplex starts from a least-cost basis and updates its
-    duals only on the subtree each pivot re-hangs (``_transport_simplex``);
-    cells left with rounding masses, below 64 ulps of the largest weight, are
-    dropped before the plan is renormalized.
+    transportation simplex starts from a least-cost basis, keeps its tree and
+    duals in Python lists, and updates the duals only on the subtree each
+    pivot re-hangs (``_transport_simplex``); cells left with rounding masses,
+    below 64 ulps of the largest weight, are dropped before the plan is
+    renormalized.
     """
     _count_solve()
     st, tt = _times(source, target)

@@ -227,6 +227,12 @@ def _fit_mlp(
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
+            # a float32 cotangent past 3.4e38 casts to inf under a finite loss,
+            # and one Adam step on it would leave NaN in the weights
+            if not all(np.isfinite(grad).all() for grad in batch_grads):
+                raise RuntimeError(
+                    f"non-finite gradient at epoch {epoch}, batch {batch_index}"
+                )
             adam_step(state, params, batch_grads)
             epoch_loss += batch_loss
         history.append(epoch_loss)

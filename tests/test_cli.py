@@ -379,6 +379,46 @@ def test_malformed_checkpoints_exit_one_and_name_the_file(
     assert not (tmp_path / "result").exists()
 
 
+def _broken_metadata_dataset(flat_dataset, tmp_path) -> Path:
+    data = tmp_path / "broken"
+    shutil.copytree(flat_dataset, data)
+    for split in ("train", "test"):
+        (data / split / "metadata.json").write_text("{")
+    return data
+
+
+def _broken_metadata_argv(command: str, data: Path, tmp_path) -> list[str]:
+    out = str(tmp_path / "result")
+    return {
+        "couple": ["couple", "--data", str(data)],
+        "train": ["train", "--data", str(data), "--seed", "1", "--out", out],
+        "evaluate": ["evaluate", "--data", str(data), "--model", "m.json", "--report", out],
+        "predict": ["predict", "--data", str(data), "--model", "m.json", "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["couple", "train", "evaluate", "predict"])
+def test_broken_metadata_exits_one_and_names_the_file(flat_dataset, tmp_path, command, caplog):
+    data = _broken_metadata_dataset(flat_dataset, tmp_path)
+    assert run(*_broken_metadata_argv(command, data, tmp_path)) == EXIT_USAGE
+    split = "train" if command in ("couple", "train") else "test"
+    assert f"{data / split / 'metadata.json'}: not valid JSON" in caplog.text
+    assert not (tmp_path / "result").exists()
+
+
+def test_broken_metadata_names_the_file_on_stderr(flat_dataset, tmp_path):
+    data = _broken_metadata_dataset(flat_dataset, tmp_path)
+    src = str(Path(jkoflow.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "jkoflow.cli", *_broken_metadata_argv("evaluate", data, tmp_path)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert f"{data / 'test' / 'metadata.json'}: not valid JSON" in proc.stderr
+
+
 def test_beta_noise_requires_seed(flat_dataset, tmp_path):
     model_path = tmp_path / "m.json"
     run(

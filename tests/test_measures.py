@@ -1,5 +1,7 @@
 """Snapshot/trajectory/coupling containers and their file formats."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from jkoflow import (
 )
 from jkoflow.measures import (
     EXP_FLOOR,
+    _parse_rows,
+    _write_csv,
     as_batch,
     budget_rows,
     check_coupling_marginals,
@@ -169,6 +173,64 @@ class TestTrajectoryIO:
         assert "snapshot_00001.csv" in str(err.value)
         assert "row 2" in str(err.value)
 
+    def test_broken_metadata_names_the_file(self, rng, tmp_path):
+        save_trajectory(random_trajectory(rng, steps=1), tmp_path)
+        (tmp_path / "metadata.json").write_text("{")
+        with pytest.raises(ValueError, match="metadata.json: not valid JSON"):
+            load_trajectory(tmp_path)
+
+    @pytest.mark.parametrize(
+        "text, dim, points, weights",
+        [
+            ("x0,x1,weight\n1.5,-2,0.25\n\n3,4,0.75\n", 2, [[1.5, -2], [3, 4]], [0.25, 0.75]),
+            ("1,2\n\n3,4\n\n", 2, [[1, 2], [3, 4]], [0.5, 0.5]),
+            ("x0\n0.1\n", 1, [[0.1]], [1.0]),
+            # loadtxt rejects a whitespace-only line and quoted cells; the row
+            # loop reads them as csv.reader and float do
+            ("x0,x1\r\n1,2\r\n   \r\n3,4\r\n", 2, [[1, 2], [3, 4]], [0.5, 0.5]),
+            ('"1","2",0.5\n3,4,0.5\n', 2, [[1, 2], [3, 4]], [0.5, 0.5]),
+            ("\n1,2\n", 2, [[1, 2]], [1.0]),
+        ],
+        ids=["header-blank-weights", "no-header-no-weights", "one-row", "whitespace-line",
+             "quoted", "leading-blank"],
+    )
+    def test_snapshot_reader_skips_headers_and_blank_rows(self, tmp_path, text, dim, points,
+                                                          weights):
+        path = tmp_path / "snapshot.csv"
+        path.write_bytes(text.encode())
+        pts, w = _parse_rows(path, dim)
+        assert pts.flags.c_contiguous and w.flags.c_contiguous
+        np.testing.assert_array_equal(pts, np.array(points, dtype=np.float64))
+        np.testing.assert_array_equal(w, np.array(weights))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x0,x1\n1,2\nabc,4\n", "row 2: non-numeric entry"),
+            ("# a,b\n1,2\n", "row 0: non-numeric entry"),
+            ("x0,x1\n1,2,3,4\n", "row 1: expected 2 or 3 columns, got 4"),
+            ("x0,x1,weight\n1,2,0.5\n3,4\n", "some rows have 2 columns and some 3"),
+            ("x0,x1,weight\n\n", "no data rows found"),
+            ("\nx0,x1\n1,2\n", "row 1: non-numeric entry"),
+        ],
+        ids=["word", "comment", "wide-row", "mixed-weights", "header-only", "late-header"],
+    )
+    def test_snapshot_reader_errors_name_file_and_row(self, tmp_path, text, message):
+        path = tmp_path / "snapshot.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"snapshot.csv[:,] {message}"):
+            _parse_rows(path, 2)
+
+    def test_writer_writes_what_savetxt_writes(self, rng, tmp_path):
+        rows = np.column_stack([rng.normal(size=(50, 2)) * 1e-300, np.full(50, 1 / 50)])
+        rows[:4, 0] = [np.nan, np.inf, -0.0, 5e-324]
+        path = tmp_path / "rows.csv"
+        _write_csv(path, ["x0", "x1", "weight"], rows)
+        expected = io.StringIO()
+        expected.write("x0,x1,weight\n")
+        np.savetxt(expected, rows, fmt="%.17g", delimiter=",")
+        assert path.read_bytes() == expected.getvalue().encode()
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_trajectory(tmp_path / "nope")
@@ -186,6 +248,30 @@ class TestCouplingIO:
         assert np.array_equal(back.source_indices, c.source_indices)
         assert np.array_equal(back.target_indices, c.target_indices)
         assert np.array_equal(back.masses, c.masses)
+
+
+    def test_reader_skips_header_and_blank_rows(self, tmp_path):
+        path = coupling_path(tmp_path, 0, 1)
+        path.write_text("i,j,mass\n0,1,0.25\n\n1,0,0.75\n")
+        back = load_coupling(tmp_path, 0, 1)
+        assert back.source_indices.dtype == np.int64
+        assert back.source_indices.tolist() == [0, 1]
+        assert back.target_indices.tolist() == [1, 0]
+        assert back.masses.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("i,j,mass\n0,1,0.5\n1.0,0,0.5\n", "row 2: non-numeric entry"),
+            ("i,j,mass\n0,1\n", "row 1: expected 3 columns, got 2"),
+            ("i,j,mass\n", "no data rows found"),
+        ],
+        ids=["float-index", "short-row", "header-only"],
+    )
+    def test_reader_errors_name_file_and_row(self, tmp_path, text, message):
+        coupling_path(tmp_path, 0, 1).write_text(text)
+        with pytest.raises(ValueError, match=f"coupling_0_1.csv[:,] {message}"):
+            load_coupling(tmp_path, 0, 1)
 
 
 class TestSplitTrainTest:

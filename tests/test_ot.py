@@ -29,7 +29,7 @@ from jkoflow.ot import (
     trajectory_emd,
     transport_cost,
 )
-from jkoflow.ot import _transport_simplex
+from jkoflow.ot import _transport_simplex, _tree_path
 
 from conftest import random_snapshot
 
@@ -247,6 +247,75 @@ def test_exact_plans_keep_no_rounding_mass(seed):
     check_coupling_marginals(plan, mu, nu)
     want = linprog_oracle(mu.weights, nu.weights, cost_matrix(mu.points, nu.points, 1))
     assert transport_cost(plan, mu, nu, cost_exponent=1) == pytest.approx(want, rel=1e-9)
+
+
+def _root_walk_path(parent: list[int], start: int, goal: int) -> list[int]:
+    """Tree path by walking ``start`` all the way to the root."""
+    up = [start]
+    while parent[up[-1]] >= 0:
+        up.append(parent[up[-1]])
+    depth = {node: k for k, node in enumerate(up)}
+    down = [goal]
+    while down[-1] not in depth:
+        down.append(parent[down[-1]])
+    return up[: depth[down[-1]]] + down[::-1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_depth_guided_path_matches_a_walk_to_the_root(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 60))
+    order = rng.permutation(size).tolist()
+    parent = [-1] * size
+    depth = [0] * size
+    for k in range(1, size):
+        # odd seeds hang each node below any earlier one (bushy trees), even
+        # seeds below one of the last two (long chains)
+        p = order[int(rng.integers(0 if seed % 2 else max(0, k - 2), k))]
+        parent[order[k]] = p
+        depth[order[k]] = depth[p] + 1
+    pairs = [(int(x), int(y)) for x, y in rng.integers(0, size, size=(40, 2)) if x != y]
+    for node in order[1:4]:
+        # root endpoints, then adjacent endpoints, both ways round
+        pairs += [(order[0], node), (node, order[0]), (node, parent[node]), (parent[node], node)]
+    for start, goal in pairs:
+        assert _tree_path(parent, depth, start, goal) == _root_walk_path(parent, start, goal)
+
+
+def linprog_plan(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Optimal transportation plan as an (n, m) array, via scipy's HiGHS solver."""
+    n, m = cost.shape
+    a_eq = np.zeros((n + m, n * m))
+    for i in range(n):
+        a_eq[i, i * m : (i + 1) * m] = 1.0
+    for j in range(m):
+        a_eq[n + j, j::m] = 1.0
+    b_eq = np.concatenate([wa, wb])
+    res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.x.reshape(n, m)
+
+
+@pytest.mark.parametrize(
+    "n, m, uniform", [(61, 77, True), (90, 73, True), (79, 66, False), (64, 88, False)]
+)
+@pytest.mark.parametrize("exponent", [1, 2])
+def test_ragged_size_plans_equal_the_linprog_optimum_cell_for_cell(n, m, uniform, exponent):
+    # random points have one optimal plan, so the simplex must land on the
+    # vertex HiGHS finds, whatever path its pivots take
+    rng = np.random.default_rng(1000 * n + m + exponent)
+    xa, xb = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+    if uniform:
+        mu, nu = uniform_snapshot(xa, 0), uniform_snapshot(xb, 1)
+    else:
+        mu = EmpiricalSnapshot(xa, random_weights(rng, n), 0)
+        nu = EmpiricalSnapshot(xb, random_weights(rng, m), 1)
+    plan = solve_exact(mu, nu, cost_exponent=exponent)
+    want = linprog_plan(mu.weights, nu.weights, cost_matrix(xa, xb, exponent))
+    got = np.zeros((n, m))
+    got[plan.source_indices, plan.target_indices] = plan.masses
+    np.testing.assert_array_equal(got > 0, want > 1e-12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_simplex_route_agrees_with_assignment_on_uniform(rng):

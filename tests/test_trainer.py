@@ -344,6 +344,27 @@ def test_fit_reports_epoch_and_batch_on_non_finite_loss():
         fit(traj, TrainConfig(variant="star_potential", epochs=1, hidden=(4,)))
 
 
+def test_fit_stops_before_an_adam_step_on_a_non_finite_gradient(monkeypatch):
+    # pairs 1e38 apart at tau = 1e-3: the float64 loss (near 1e82) is finite,
+    # but the float32 cotangent (near 1e41) casts to inf
+    initial = []
+
+    def build_and_keep(**kwargs):
+        model = build_model(**kwargs)
+        initial.extend((p, p.copy()) for p in model.parameters())
+        return model
+
+    monkeypatch.setattr(trainer_mod, "build_model", build_and_keep)
+    traj = _trajectory([np.zeros((4, 1)), np.full((4, 1), 1e38)], tau=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        RuntimeError, match=r"non-finite gradient at epoch 0, batch 0"
+    ):
+        fit(traj, TrainConfig(variant="star_potential", epochs=1, hidden=(4,)))
+    assert initial
+    for param, before in initial:
+        np.testing.assert_array_equal(param, before)
+
+
 def test_gradient_training_converges_on_smooth_potential():
     # scaled-down run-to-convergence check; the full 1000-epoch budget claim
     # lives in the acceptance suite
