@@ -337,6 +337,7 @@ def _cmd_train(cfg: dict) -> int:
         loss_history=result.loss_history,
         couple_seconds=result.couple_seconds,
         train_seconds=result.train_seconds,
+        em=[dataclasses.asdict(report) for report in result.em],
     )
     _echo_config(cfg, "train", out.parent)
     logger.info(
@@ -365,7 +366,7 @@ def _cmd_evaluate(cfg: dict) -> int:
     )
     report["model"] = str(cfg["model"])
     report["data"] = str(traj_dir)
-    for key in ("loss_history", "couple_seconds", "train_seconds"):
+    for key in ("loss_history", "couple_seconds", "train_seconds", "em"):
         if key in model_payload:
             report[key] = model_payload[key]
     report_path = Path(cfg["report"])

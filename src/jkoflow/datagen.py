@@ -144,13 +144,17 @@ def predict(
 
     ``model`` is a fitted energy model or the true energies (an
     :class:`EnergySpec` or :class:`GatedQuadratic`): anything with
-    ``grad_potential``, ``grad_interaction_mean``, ``time_conditioned`` and
-    ``beta``.
+    ``grad_potential``, ``grad_interaction_mean`` (with a ``dtype`` keyword
+    for explicit steps), ``time_conditioned`` and ``beta``.
 
     ``scheme="explicit"`` subtracts tau times the drift at the current cloud
     (the interaction term averages over the predicted population itself); a
     time-conditioned potential is read at the step's own time,
-    ``(time_offset + k) / time_scale``.  Diffusion noise is off by default:
+    ``(time_offset + k) / time_scale``.  The explicit step asks for the
+    interaction mean with ``dtype=np.float32``: a network runs its pair pass
+    in float32 and returns a float64 mean, and the true energies and the
+    linear models compute in float64 whatever they are asked, so generated
+    data does not depend on it.  Diffusion noise is off by default:
     rollouts are deterministic unless ``beta_noise`` is set, in which case
     counter-based noise scaled by beta (a negative fitted beta counts as 0) is
     added.  ``beta_noise`` on an energy whose beta is 0 raises.
@@ -158,6 +162,8 @@ def predict(
     ``scheme="implicit"`` solves the balance condition x' = x - tau *
     drift(x', t') for the whole cloud, the interaction averaged over x', at
     the time stepped into, t' = ``(time_offset + k + 1) / time_scale``.  No noise.
+    Its drift stays float64 throughout, as ``implicit_step`` iterates to an
+    absolute residual of ``IMPLICIT_TOL``.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be 'explicit' or 'implicit', got {scheme!r}")
@@ -172,9 +178,10 @@ def predict(
     if time_conditioned and time_scale is None:
         raise ValueError("time-conditioned model needs time_scale")
 
-    def drift(x: np.ndarray, time_value: float | None) -> np.ndarray:
+    # the implicit drift passes no precision, so an energy keeps its float64 default
+    def drift(x: np.ndarray, time_value: float | None, **precision) -> np.ndarray:
         grad = model.grad_potential(x, time_value)
-        return grad + model.grad_interaction_mean(x, x, initial.weights)
+        return grad + model.grad_interaction_mean(x, x, initial.weights, **precision)
 
     points = initial.points.copy()
     frames = [points]
@@ -184,7 +191,7 @@ def predict(
             new = implicit_step(points, drift, tau, t_next)
         else:
             time_value = (offset + k) / time_scale if time_conditioned else None
-            new = points - tau * drift(points, time_value)
+            new = points - tau * drift(points, time_value, dtype=np.float32)
             beta = max(float(model.beta), 0.0)
             if beta_noise and beta > 0:
                 noise = _step_rng(seed, offset + k).standard_normal(points.shape)
@@ -260,8 +267,10 @@ class GatedQuadratic:
     def grad_potential(self, x: np.ndarray, time_value: float | None = None) -> np.ndarray:
         return gated_quadratic_grad(x, time_value)
 
-    def grad_interaction_mean(self, x, points, weights) -> np.ndarray:
-        return np.zeros_like(x)
+    def grad_interaction_mean(self, x, points, weights, dtype=np.float64) -> np.ndarray:
+        """Zero, shape (len(x), 1); ``dtype`` is accepted for ``predict`` and
+        ignored, as there is no pair pass."""
+        return np.zeros_like(np.atleast_2d(x))
 
 
 def generate_time_varying_1d(

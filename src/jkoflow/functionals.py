@@ -345,8 +345,14 @@ class EnergySpec:
         return self.potential.gradient(x)
 
     def grad_interaction_mean(
-        self, x: np.ndarray, points: np.ndarray, weights: np.ndarray
+        self, x: np.ndarray, points: np.ndarray, weights: np.ndarray,
+        dtype: np.dtype = np.float64,
     ) -> np.ndarray:
+        """sum_j weights_j grad_U(x_i - y_j) for each row x_i, shape (len(x), d).
+
+        Computes in float64 whatever ``dtype`` asks: the true energies
+        generate the data, which must not depend on the rollout's precision."""
+        x = np.atleast_2d(x)
         if self.interaction is None:
             return np.zeros_like(x)
         # datagen imports this module, and the benchmark tracer replaces the

@@ -106,8 +106,14 @@ class LinearEnergyModel:
         return np.einsum("nad,a->nd", jacobian_features(self.potential_map, x), theta1)
 
     def grad_interaction_mean(
-        self, x: np.ndarray, points: np.ndarray, weights: np.ndarray
+        self, x: np.ndarray, points: np.ndarray, weights: np.ndarray,
+        dtype: np.dtype = np.float64,
     ) -> np.ndarray:
+        """sum_j weights_j grad_U(x_i - y_j) for each row x_i, shape (len(x), d).
+
+        Computes in float64 whatever ``dtype`` asks: the pair means flush
+        kernel arguments below ``measures.EXP_FLOOR``, a float64 constant set
+        where float64's exp turns subnormal (float32's does near -87)."""
         x = np.atleast_2d(x)
         if self.interaction_map is None:
             return np.zeros_like(x)

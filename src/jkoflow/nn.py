@@ -11,13 +11,16 @@ pass's activations instead of recomputing them; ``gradient_and_adjoint`` and
 the fitting loss are built on it.  ``input_gradient`` runs the same passes
 without keeping a tape.
 
-A tape computes in the dtype of its batch and weights.  The nets, their
-checkpoints, ``input_gradient`` and ``gradient_and_adjoint`` are float64.
-``loss_and_param_gradient`` takes a ``dtype`` for its tapes (float64 by
-default; training asks for float32): it runs them on a float32 copy of the
-weights and inputs, and keeps the residual, the loss and the returned
-gradients in float64, so the optimizer's master weights and moments stay
-float64 (mixed precision training, Micikevicius et al. 2018).
+A tape computes in the dtype of its batch and weights, and
+``input_gradient`` in the dtype of its net.  The nets, their checkpoints and
+``gradient_and_adjoint`` are float64.  ``loss_and_param_gradient`` takes a
+``dtype`` for its tapes (float64 by default; training asks for float32): it
+runs them on a float32 copy of the weights and inputs, and keeps the
+residual, the loss and the returned gradients in float64, so the
+optimizer's master weights and moments stay float64 (mixed precision
+training, Micikevicius et al. 2018).  ``MlpEnergyModel.grad_interaction_mean``
+takes the same ``dtype`` for its pair pass (float64 by default; an explicit
+rollout step asks for float32) and returns its weighted mean in float64.
 
 The passes do only the work a gradient reads.  No gradient reads the net's
 value, so they compute neither the output nor the last hidden layer's
@@ -200,13 +203,17 @@ def _constant_gradient(mlp: Mlp, rows: int) -> np.ndarray:
 
 
 def input_gradient(mlp: Mlp, x: np.ndarray) -> np.ndarray:
-    """d(output)/d(input), shape matching x."""
-    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """d(output)/d(input), shape matching x.
+
+    Computes in the net's dtype, as ``_tape`` does: ``x`` is cast to it, so
+    a float64 net gives float64 and a float32 copy from ``_cast`` float32."""
+    dtype = mlp.weights[0].dtype
+    xb = np.atleast_2d(np.asarray(x, dtype=dtype))
     rows = xb.shape[0]
     widths, inner, total = _hidden_widths(mlp)
     activations: list[np.ndarray] = []
     sigmoids = _hidden_sigmoids(
-        mlp, xb, _Slab(rows * (inner + total) + _buffer_size(rows, widths)), activations
+        mlp, xb, _Slab(rows * (inner + total) + _buffer_size(rows, widths), dtype), activations
     )
     # Q^L = W^L, then Q^l = (Q^{l+1} * S^l) W^l; the product is written over
     # S^l and Q^l over A^{l-1}, which nothing reads again
@@ -361,11 +368,22 @@ class MlpEnergyModel:
         return g[:, : self.dim]
 
     def grad_interaction_mean(
-        self, x: np.ndarray, points: np.ndarray, weights: np.ndarray
+        self, x: np.ndarray, points: np.ndarray, weights: np.ndarray,
+        dtype: np.dtype = np.float64,
     ) -> np.ndarray:
+        """sum_j weights_j grad_U(x_i - y_j) for each row x_i, shape (len(x), d).
+
+        The pair pass runs in ``dtype``, as a training step's pair blocks do:
+        the interaction net is cast once per call, and ``x`` and ``points``
+        once, so the pair differences come out in ``dtype``.  The weighted
+        mean is taken against the float64 ``weights``, so the result is
+        float64 whatever ``dtype`` is."""
         net = self.interaction_net
         if net is None:
-            return np.zeros_like(x)
+            return np.zeros_like(np.atleast_2d(x))
+        net = _cast(net, dtype)
+        x = np.atleast_2d(np.asarray(x, dtype=dtype))
+        points = np.asarray(points, dtype=dtype)
         return pairwise_mean(lambda diff: input_gradient(net, diff), x, points, weights, net.width)
 
     def parameters(self) -> list[np.ndarray]:

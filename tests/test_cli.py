@@ -217,6 +217,41 @@ def test_train_is_idempotent_modulo_timing(flat_dataset, tmp_path):
     assert payloads[0] == payloads[1]
 
 
+def test_star_checkpoint_and_report_carry_the_em_record(sphere_dataset, tmp_path):
+    # one {iterations, capped, reinits} per train snapshot after the first,
+    # as FitResult.em lists them, in the checkpoint and copied into the report
+    model_path = tmp_path / "m.json"
+    code = run(
+        "train",
+        "--data", str(sphere_dataset),
+        "--variant", "star",
+        "--epochs", "2",
+        "--hidden", "8",
+        "--gmm-k", "2",
+        "--seed", "3",
+        "--out", str(model_path),
+    )
+    assert code == EXIT_OK
+    with open(model_path) as fh:
+        em = json.load(fh)["em"]
+    train = load_trajectory(sphere_dataset / "train")
+    assert len(em) == train.n_steps == 3
+    for record in em:
+        assert set(record) == {"iterations", "capped", "reinits"}
+        assert isinstance(record["capped"], bool)
+        assert record["iterations"] >= 1 and record["reinits"] >= 0
+    report_path = tmp_path / "r.json"
+    code = run(
+        "evaluate",
+        "--data", str(sphere_dataset),
+        "--model", str(model_path),
+        "--report", str(report_path),
+    )
+    assert code == EXIT_OK
+    with open(report_path) as fh:
+        assert json.load(fh)["em"] == em
+
+
 def test_predict_rolls_out_and_saves(sphere_dataset, tmp_path):
     model_path = tmp_path / "m.json"
     code = run(

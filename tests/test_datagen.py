@@ -6,6 +6,8 @@ Every numeric target below is hand-derived from the step definitions:
 Linear gradients make both solvable in closed form, which pins the solvers
 to exact arithmetic instead of self-consistency.  The explicit step of the
 true energies is taken through ``predict``, the rollout ``generate`` makes.
+The last section checks the interaction means' precision keyword against
+float64 results and the implicit tolerance.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from jkoflow.datagen import (
+    GatedQuadratic,
     GenConfig,
     IMPLICIT_TOL,
     TIME_VARYING_STEPS,
@@ -26,8 +29,11 @@ from jkoflow.datagen import (
     interaction_gradient_mean,
     predict,
 )
+from jkoflow.features import build_default, polynomial_map
 from jkoflow.functionals import EnergySpec, GroundTruthFunction
+from jkoflow.linear_solver import LinearEnergyModel
 from jkoflow.measures import uniform_snapshot
+from jkoflow.nn import build_model
 
 
 class _QuadraticPair:
@@ -411,3 +417,94 @@ def test_time_varying_deterministic():
     b, _ = generate_time_varying_1d(n_particles=20, seed=5)
     for sa, sb in zip(a.snapshots, b.snapshots):
         np.testing.assert_array_equal(sa.points, sb.points)
+
+
+# ---------------------------------------------------------------------------
+# the interaction mean's precision keyword
+
+
+def _energy(kind: str):
+    if kind == "spec":
+        return EnergySpec(potential=_sphere(2), interaction=GroundTruthFunction("watershed", 2))
+    if kind == "gated":
+        return GatedQuadratic()
+    if kind == "linear":
+        model = LinearEnergyModel(
+            potential_map=polynomial_map(2, 2), interaction_map=build_default(2)
+        )
+        model.theta = np.random.default_rng(4).normal(size=model.n_active)
+        return model
+    return build_model(dim=2, seed=5, with_interaction=True, hidden=(8, 8))
+
+
+@pytest.mark.parametrize("dtype", [None, np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["spec", "gated", "linear", "mlp"])
+def test_interaction_mean_takes_one_point_as_a_row(kind, dtype):
+    energy = _energy(kind)
+    dim = 1 if kind == "gated" else 2
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(4, dim))
+    points = rng.normal(size=(7, dim))
+    weights = np.full(7, 1 / 7)
+    precision = {} if dtype is None else {"dtype": dtype}
+    rows = energy.grad_interaction_mean(x, points, weights, **precision)
+    one = energy.grad_interaction_mean(x[0], points, weights, **precision)
+    assert rows.shape == (4, dim) and one.shape == (1, dim)
+    assert rows.dtype == one.dtype == np.float64
+    # a float32 pair pass sees the one row in a block of its own shape
+    rtol = 1e-6 if kind == "mlp" and dtype is np.float32 else 1e-13
+    np.testing.assert_allclose(one[0], rows[0], rtol=rtol, atol=rtol * np.abs(rows).max())
+    if kind != "mlp":
+        # the true energies and the linear model compute in float64 whatever
+        # they are asked, so generated data cannot depend on the keyword
+        np.testing.assert_array_equal(
+            rows, energy.grad_interaction_mean(x, points, weights, dtype=np.float32)
+        )
+
+
+class _DtypeSpy:
+    """A model that records the ``dtype`` each interaction mean is asked for."""
+
+    time_conditioned = False
+    beta = 0.0
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self.dtypes: list = []
+
+    def grad_potential(self, x, time_value=None):
+        return self.model.grad_potential(x, time_value)
+
+    def grad_interaction_mean(self, x, points, weights, dtype=np.float64):
+        self.dtypes.append(dtype)
+        return self.model.grad_interaction_mean(x, points, weights, dtype=dtype)
+
+
+def test_explicit_steps_ask_for_float32_and_implicit_steps_for_float64():
+    start = uniform_snapshot(np.random.default_rng(7).normal(size=(12, 2)), 0)
+    spy = _DtypeSpy(build_model(dim=2, seed=8, with_interaction=True, hidden=(8,)))
+    predict(spy, start, 3, 0.01, "explicit")
+    assert spy.dtypes == [np.float32] * 3
+    spy.dtypes.clear()
+    predict(spy, start, 2, 0.01, "implicit")
+    assert len(spy.dtypes) >= 2 and set(spy.dtypes) == {np.float64}
+
+
+def test_explicit_star_step_reads_the_float32_pair_pass_to_its_last_digits():
+    model = build_model(dim=2, seed=9, with_interaction=True, with_internal=True, hidden=(16, 16))
+    x = np.random.default_rng(10).normal(size=(30, 2)) * 2
+    weights = np.full(30, 1 / 30)
+    tau = 0.01
+    got = predict(model, uniform_snapshot(x, 0), 1, tau).snapshots[1].points
+    drift = model.grad_potential(x) + model.grad_interaction_mean(x, x, weights)
+    np.testing.assert_allclose(got, x - tau * drift, rtol=1e-9, atol=1e-9)
+
+
+def test_implicit_star_rollout_meets_the_tolerance_in_float64():
+    model = build_model(dim=2, seed=11, with_interaction=True, with_internal=True, hidden=(16, 16))
+    start = uniform_snapshot(np.random.default_rng(12).normal(size=(30, 2)) * 2, 0)
+    tau = 0.01
+    frames = [s.points for s in predict(model, start, 3, tau, "implicit").snapshots]
+    for x, new in zip(frames[:-1], frames[1:]):
+        drift = model.grad_potential(new) + model.grad_interaction_mean(new, new, start.weights)
+        assert np.linalg.norm(new - x + tau * drift, axis=1).max() < IMPLICIT_TOL

@@ -444,6 +444,44 @@ def test_grad_interaction_mean_chunked_matches_unchunked(monkeypatch):
     np.testing.assert_allclose(got, g.mean(axis=1), rtol=1e-10)
 
 
+def test_float32_interaction_mean_matches_float64_over_blocks(monkeypatch):
+    # the default (64, 64) nets of a star model; a budget of 25 rows per
+    # block against 200 points, so 60 queries span three float32 blocks
+    model = build_model(dim=2, seed=14, with_interaction=True)
+    rng = _rng(15)
+    x = rng.normal(size=(60, 2)) * 2
+    pop = rng.normal(size=(200, 2)) * 2
+    w = rng.uniform(0.1, 1.0, size=200)
+    w /= w.sum()
+    want = model.grad_interaction_mean(x, pop, w)
+    blocks = []
+    monkeypatch.setattr(
+        nn, "input_gradient",
+        lambda mlp, diff: blocks.append((len(diff), diff.dtype, mlp.weights[0].dtype))
+        or input_gradient(mlp, diff),
+    )
+    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 25 * 200 * model.interaction_net.width)
+    got = model.grad_interaction_mean(x, pop, w, dtype=np.float32)
+    assert blocks == [(n * 200, np.float32, np.float32) for n in (25, 25, 10)]
+    assert got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+    # the master net is not touched by the cast
+    assert all(p.dtype == np.float64 for p in model.parameters())
+
+
+def test_input_gradient_computes_in_its_nets_dtype():
+    mlp = init_mlp([3, 16, 16, 1], _rng(16))
+    x = _rng(17).normal(size=(5, 3))
+    want = input_gradient(mlp, x)
+    got = input_gradient(nn._cast(mlp, np.float32), x)
+    assert want.dtype == np.float64 and got.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+    one = input_gradient(nn._cast(mlp, np.float32), x[0])
+    assert one.shape == (3,) and one.dtype == np.float32
+    # a float64 net reads float32 input in float64
+    assert input_gradient(mlp, x.astype(np.float32)).dtype == np.float64
+
+
 def test_parameters_order_and_liveness():
     model = build_model(dim=2, seed=5, with_interaction=True, with_internal=True)
     params = model.parameters()
