@@ -265,7 +265,7 @@ class GatedQuadratic:
     beta = 0.0
 
     def grad_potential(self, x: np.ndarray, time_value: float | None = None) -> np.ndarray:
-        return gated_quadratic_grad(x, time_value)
+        return gated_quadratic_grad(np.atleast_2d(x), time_value)
 
     def grad_interaction_mean(self, x, points, weights, dtype=np.float64) -> np.ndarray:
         """Zero, shape (len(x), 1); ``dtype`` is accepted for ``predict`` and

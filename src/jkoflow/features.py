@@ -44,11 +44,10 @@ every bump of a row block.  The squared distances are expanded as
 |u|^2 + |y|^2 - 2 u.y about the population's mean, which costs about
 eps * R^2 / sigma of relative precision for points R from that mean.
 
-Row blocks follow ``measures.pair_chunks`` at the widest per-pair array,
-max(C, d) entries a pair for the kernel and max(U, d) for the grid factors,
-so each block's arrays stay within ``measures.PAIR_BUDGET``; the grid
-factors take a block's rows in turns whose 2 d factor arrays together stay
-within it.
+Row blocks follow ``measures.pair_chunks``, sized for a block's largest
+arrays: max(C, d) entries a pair for the kernel, 2 d max(U, d) for the 2 d
+grid factor arrays together.  So each block stays within
+``measures.PAIR_BUDGET``, and each block is computed whole.
 
 The kernel entries and the grid factors go through ``measures.exp_flushed``:
 where the argument is below -707 they are exactly 0 rather than below
@@ -66,8 +65,7 @@ from math import prod
 
 import numpy as np
 
-from . import measures
-from .measures import as_batch, exp_flushed, pair_chunks
+from .measures import as_batch, exp_flushed, pair_chunks, pair_rows
 
 DEFAULT_POLY_DEGREE = 4
 DEFAULT_RBF_SIGMA = 0.5
@@ -147,14 +145,16 @@ def jacobian_features(
     if fm.rbf_centers is not None:
         n_bumps = fm.rbf_centers.shape[0]
         first_bump = fm.n_features - n_bumps
-        # the kernel (or factor) buffers serve all blocks, sized by the first
-        # (the widest), so a call page-faults for one block at most, whatever
-        # the heap's history
-        buffer = None
+    # the kernel (or factor) buffers serve all blocks, sized by the first (the
+    # largest), so a call page-faults for one block at most, whatever the
+    # heap's history
     if fm._grid_axes is not None:
-        width = max(d, *(axis.size for axis in fm._grid_axes))
+        width = 2 * d * max(d, *(axis.size for axis in fm._grid_axes))
+        rows = pair_rows(xb, points, width)
+        buffers = [np.empty((2, rows, axis.size, len(points))) for axis in fm._grid_axes]
     elif fm.rbf_centers is not None:
         width = max(d, n_bumps)
+        buffer = np.empty((pair_rows(xb, points, width) * n_bumps, len(points)))
         shift = points.mean(axis=0)
         yc = points - shift
         weighted = np.column_stack([weights, weights[:, None] * yc])
@@ -172,20 +172,11 @@ def jacobian_features(
             mean = total if p == 1 else p * (weights @ power)
             out[block, (p - 1) * d + coords, coords] = mean
         if fm._grid_axes is not None:
-            if buffer is None:
-                # rows whose 2 d factor arrays together stay within the pair
-                # budget, so a call maps (and page-faults) no more memory
-                # than one kernel block
-                m = pairs.shape[1]
-                rows = measures.budget_rows(2 * d * width * m, most=len(pairs))
-                buffer = [np.empty((2, rows, axis.size, m)) for axis in fm._grid_axes]
-            out[block, first_bump:] = _grid_pair_means(fm, pairs, weights, buffer)
+            out[block, first_bump:] = _grid_pair_means(fm, pairs, weights, buffers)
         elif fm.rbf_centers is not None:
             u = (xb[block] - shift)[:, None, :] - fm.rbf_centers[None, :, :]
             uu = (u**2).sum(axis=2).reshape(-1)
             u = u.reshape(-1, d)
-            if buffer is None:
-                buffer = np.empty((u.shape[0], points.shape[0]))
             kernel = np.matmul(u, ycT, out=buffer[: u.shape[0]])
             kernel += uu[:, None]
             kernel += yy
@@ -202,14 +193,8 @@ def _grid_pair_means(
 ) -> np.ndarray:
     """Bump pair means of a row block, shape (rows, C, d), from the per-axis
     factors F_k = exp(-z_k^2 / sigma) and z_k F_k of z_k = x_ik - y_jk - g_ka,
-    written into ``buffers`` (one (2, R, U_k, M) array an axis) R rows at a
-    time."""
-    rows, step = pairs.shape[0], buffers[0].shape[1]
-    if rows > step:
-        return np.concatenate([
-            _grid_pair_means(fm, pairs[start : start + step], weights, buffers)
-            for start in range(0, rows, step)
-        ])
+    written into ``buffers``: one (2, R, U_k, M) array an axis, R >= rows."""
+    rows = pairs.shape[0]
     values, slopes = [], []
     for k, (axis, buffer) in enumerate(zip(fm._grid_axes, buffers)):
         z, value = buffer[:, :rows]

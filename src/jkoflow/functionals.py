@@ -340,6 +340,7 @@ class EnergySpec:
         return None
 
     def grad_potential(self, x: np.ndarray, time_value: float | None = None) -> np.ndarray:
+        x = np.atleast_2d(x)
         if self.potential is None:
             return np.zeros_like(x)
         return self.potential.gradient(x)

@@ -32,7 +32,8 @@ import numpy as np
 
 WEIGHT_ATOL = 1e-9
 COUPLING_ATOL = 1e-8
-# entries in the widest per-pair array of one pair block (``budget_rows``).
+# entries of a pair block's largest arrays, at the width per pair that its
+# kernel gives ``pair_chunks`` (``budget_rows``); a kernel computes a block whole.
 # 2**17 float64 entries (1 MiB; half that in float32) keep a block and its
 # companion arrays within one core's 2 MiB of L2.  Swept over 64k-8M entries
 # in both BLAS thread modes (2-CPU Xeon, OpenBLAS 0.3.31), 64k-250k were level
@@ -228,13 +229,19 @@ def budget_rows(entries_per_row: int, most: int | None = None) -> int:
     return max(1, rows if most is None else min(most, rows))
 
 
+def pair_rows(x: np.ndarray, points: np.ndarray, width: int) -> int:
+    """Rows of ``x`` in the first (the largest) block of ``pair_chunks``."""
+    return budget_rows(points.shape[0] * width, most=x.shape[0])
+
+
 def pair_chunks(
     x: np.ndarray, points: np.ndarray, width: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Row blocks of ``x`` with their differences x_i - y_j, pair (i, j) in row
-    i * len(points) + j.  A block keeps the caller's widest per-pair array,
-    ``width`` entries a pair, within ``PAIR_BUDGET``; an empty ``x`` is one block."""
-    rows = budget_rows(points.shape[0] * width)
+    i * len(points) + j.  ``width`` is the entries a pair of the caller's
+    largest per-block array, or of its largest arrays together; a block keeps
+    them within ``PAIR_BUDGET``.  An empty ``x`` is one block."""
+    rows = pair_rows(x, points, width)
     for start in range(0, max(x.shape[0], 1), rows):
         block = slice(start, start + rows)
         yield block, (x[block, None, :] - points[None, :, :]).reshape(-1, x.shape[1])

@@ -26,8 +26,10 @@ The passes do only the work a gradient reads.  No gradient reads the net's
 value, so they compute neither the output nor the last hidden layer's
 softplus, only that layer's sigmoid; the scalar output's weight row W^L
 enters as a row broadcast over the batch, and its own gradient is the
-column sums of its cotangent.  Each pass takes its batch-sized arrays from
-one allocation (``_Slab``).
+column sums of its cotangent.  Each pass computes the whole batch it is
+handed, in arrays cut from one allocation (``_Slab``).  ``MlpEnergyModel``'s
+passes and the loss's interaction tapes take ``measures.pair_chunks``
+blocks, within the pair budget; the loss's potential tape takes its batch.
 
 Architecture: affine layers with softplus hidden activations and a linear
 scalar output.  Weights start Gaussian with std sqrt(1/fan_in), biases zero.
@@ -45,9 +47,6 @@ from .density import score  # noqa: F401 - unused; perfbench's tracer looks up n
 from .measures import pair_chunks, pairwise_mean
 
 HIDDEN_WIDTHS = (64, 64)
-
-# rows per block of the fused activation, so its temporaries stay small
-ACTIVATION_BLOCK_ROWS = 2048
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -77,32 +76,24 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _softplus_and_sigmoid_over(z: np.ndarray, sigs: np.ndarray, buffer: np.ndarray) -> None:
-    """sigmoid(z) into ``sigs`` and softplus(z) over z, for a 2-d z, bit for
-    bit, from one exp(-|z|) per row block; ``buffer`` is flat and holds two
-    blocks."""
-    for start in range(0, z.shape[0], ACTIVATION_BLOCK_ROWS):
-        rows = slice(start, start + ACTIVATION_BLOCK_ROWS)
-        block = z[rows]
-        n = block.size
-        e = _exp_neg_abs(block, out=buffer[:n].reshape(block.shape))
-        _sigmoid_from_exp(block, e, out=sigs[rows], den=buffer[n : 2 * n].reshape(block.shape))
-        np.maximum(block, 0.0, out=block)
-        block += np.log1p(e, out=e)
+    """sigmoid(z) into ``sigs`` and softplus(z) over z, bit for bit, from one
+    exp(-|z|); ``buffer`` is flat and holds two arrays of z's size."""
+    n = z.size
+    e = _exp_neg_abs(z, out=buffer[:n].reshape(z.shape))
+    _sigmoid_from_exp(z, e, out=sigs, den=buffer[n : 2 * n].reshape(z.shape))
+    np.maximum(z, 0.0, out=z)
+    z += np.log1p(e, out=e)
 
 
 def _sigmoid_over(z: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """sigmoid(z) over a 2-d z, bit for bit; ``buffer`` is flat and holds
-    one row block."""
-    for start in range(0, z.shape[0], ACTIVATION_BLOCK_ROWS):
-        block = z[start : start + ACTIVATION_BLOCK_ROWS]
-        e = _exp_neg_abs(block, out=buffer[: block.size].reshape(block.shape))
-        _sigmoid_from_exp(block, e, out=block, den=e)
-    return z
+    """sigmoid(z) over z, bit for bit; ``buffer`` is flat and holds z's size."""
+    e = _exp_neg_abs(z, out=buffer[: z.size].reshape(z.shape))
+    return _sigmoid_from_exp(z, e, out=z, den=e)
 
 
 def _buffer_size(rows: int, widths: list[int]) -> int:
-    # the two row blocks of the widest layer that the activations work in
-    return 2 * min(rows, ACTIVATION_BLOCK_ROWS) * max(widths, default=0)
+    # two arrays of the widest layer, which the activations work in
+    return 2 * rows * max(widths, default=0)
 
 
 class _Slab:
@@ -364,7 +355,12 @@ class MlpEnergyModel:
         return np.hstack([x, np.broadcast_to(np.reshape(time_value, (-1, 1)), (len(x), 1))])
 
     def grad_potential(self, x: np.ndarray, time_value: float | None = None) -> np.ndarray:
-        g = input_gradient(self.potential_net, self._with_time(np.atleast_2d(x), time_value))
+        """grad_V at each row of x, shape (len(x), d).  The pass runs as the
+        pair mean against a unit mass at 0, so its blocks stay within the
+        pair budget however many rows x has."""
+        net, x = self.potential_net, self._with_time(np.atleast_2d(x), time_value)
+        at_zero = np.zeros((1, x.shape[1]))
+        g = pairwise_mean(lambda diff: input_gradient(net, diff), x, at_zero, np.ones(1), net.width)
         return g[:, : self.dim]
 
     def grad_interaction_mean(

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import measures, ot
+from . import linear_solver, measures, nn, ot
 from .datagen import predict
 from .density import EmReport, GaussianMixture, fit_gmm, score
 from .features import FeatureMap, build_default
@@ -57,8 +57,8 @@ class TrainConfig:
     batch_pairs: int = 250
     learning_rate: float = 1e-3
     gmm_k: int = 10
-    ridge_lambda: float = 0.01
-    hidden: tuple[int, ...] = (64, 64)
+    ridge_lambda: float = linear_solver.DEFAULT_RIDGE
+    hidden: tuple[int, ...] = nn.HIDDEN_WIDTHS
     interaction_subsample: int = 0
     # drop the diffusion term even for variants that normally carry it,
     # e.g. when the data is known to be noiseless

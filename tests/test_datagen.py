@@ -460,6 +460,14 @@ def test_interaction_mean_takes_one_point_as_a_row(kind, dtype):
         np.testing.assert_array_equal(
             rows, energy.grad_interaction_mean(x, points, weights, dtype=np.float32)
         )
+    # the potential's gradient takes one point as a row too, as does the
+    # zero gradient of a spec without a potential
+    time_value = 0.5 if kind == "gated" else None
+    rows, one = energy.grad_potential(x, time_value), energy.grad_potential(x[0], time_value)
+    assert rows.shape == (4, dim) and one.shape == (1, dim)
+    np.testing.assert_allclose(one[0], rows[0], rtol=1e-13, atol=1e-13 * np.abs(rows).max())
+    if kind == "spec":
+        assert EnergySpec(interaction=energy.interaction).grad_potential(x[0]).shape == (1, dim)
 
 
 class _DtypeSpy:

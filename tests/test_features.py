@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jkoflow import features, measures
 from jkoflow.features import (
     FeatureMap,
     build_default,
@@ -295,6 +296,38 @@ def test_grid_pair_mean_does_not_depend_on_pair_blocks(name, rng, monkeypatch):
     for budget in [700, 5_000, 60_000, 10**7]:
         monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", budget)
         np.testing.assert_array_equal(jacobian_features(fm, x, points, weights), want)
+
+
+@pytest.mark.parametrize("name", ["bumps", "default-1d", "default-2d"])
+def test_grid_pair_means_get_whole_pair_blocks_and_buffers_that_hold_them(
+    name, rng, monkeypatch
+):
+    # one blocking level: each call takes exactly one pair_chunks block, into
+    # buffers allocated once per call that hold the first (largest) block
+    fm = PAIR_MEAN_MAPS[name]()
+    x = rng.normal(size=(37, fm.dim))
+    points = rng.normal(size=(53, fm.dim))
+    weights = rng.uniform(0.1, 1.0, size=53)
+    blocks, calls = [], []
+
+    def chunks(x, points, width):
+        for block, diff in measures.pair_chunks(x, points, width):
+            blocks.append(len(x[block]))
+            yield block, diff
+
+    def grid_pair_means(fm, pairs, weights, buffers):
+        calls.append((len(pairs), [b.shape[1] for b in buffers], [id(b) for b in buffers]))
+        return real(fm, pairs, weights, buffers)
+
+    real = features._grid_pair_means
+    monkeypatch.setattr(features, "pair_chunks", chunks)
+    monkeypatch.setattr(features, "_grid_pair_means", grid_pair_means)
+    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 20_000)
+    jacobian_features(fm, x, points, weights)
+    assert len(blocks) > 1
+    assert [rows for rows, _, _ in calls] == blocks
+    assert all(held == [blocks[0]] * fm.dim for _, held, _ in calls)
+    assert len({tuple(ids) for _, _, ids in calls}) == 1
 
 
 def test_grid_pair_mean_holds_no_subnormal_entries(rng):

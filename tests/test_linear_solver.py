@@ -92,8 +92,9 @@ def test_build_row_blocks_stack_in_order():
 
 
 def test_interaction_rows_do_not_depend_on_pair_blocks(monkeypatch):
-    # a budget of 8 rows per block against 30 points, at max(bumps, d) = 2
-    # entries per pair: 20 rows span three blocks
+    # a budget of 8 rows per block against 30 points, at 2 d max(bumps, d) = 8
+    # entries per pair (the grid path's 2 d factor arrays): 20 rows span
+    # three blocks
     inter = FeatureMap(dim=2, poly_degree=2, poly_cross=True, rbf_centers=np.array([[0.0, 1.0]]))
     rng = np.random.default_rng(4)
     model = LinearEnergyModel(interaction_map=inter, theta=rng.normal(size=inter.n_features))
@@ -110,7 +111,7 @@ def test_interaction_rows_do_not_depend_on_pair_blocks(monkeypatch):
             yield block, diff
 
     monkeypatch.setattr(features, "pair_chunks", spy)
-    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 8 * 30 * 2)
+    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 8 * 30 * 8)
     rows = build_row(model, x, snap, None)
     mean = model.grad_interaction_mean(x, snap.points, snap.weights)
     assert blocks == [8, 8, 4] * 2

@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from jkoflow import nn
+from jkoflow import measures, nn
 from jkoflow.density import GaussianMixture, score
 from jkoflow.measures import pair_chunks
 from jkoflow.nn import (
@@ -71,7 +71,7 @@ def test_sigmoid_matches_naive_and_is_stable():
 def test_fused_activation_matches_softplus_and_sigmoid_bit_for_bit():
     edges = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 1000.0, -1000.0, np.nan]
     z = np.concatenate([np.array(edges), _rng(30).normal(size=5000) * 20.0])
-    # more rows than one activation block, and several columns
+    # thousands of rows, and several columns
     z = np.tile(z[:, None], (1, 3))
     z[:, 1] = -z[:, 1]
     acts, sigs = softplus_and_sigmoid(z)
@@ -204,9 +204,9 @@ def test_input_gradient_batch_matches_single():
 
 
 def test_input_gradient_peak_memory():
-    # the pass keeps S of each hidden layer plus the backward products; kept
-    # activations, or a fused activation with full-size temporaries beside its
-    # outputs, would lift the peak past this
+    # the pass keeps S of each hidden layer plus the backward products, and
+    # its activations work in two arrays of the widest layer; kept
+    # activations, or a third such array, would lift the peak past this
     rng = _rng(31)
     mlp = init_mlp([2, 64, 64, 1], rng)
     x = rng.normal(size=(22_500, 2))
@@ -234,7 +234,7 @@ def _reference_input_gradient(mlp: Mlp, xb: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("hidden", HIDDEN_CASES)
-@pytest.mark.parametrize("rows", [1, 7, nn.ACTIVATION_BLOCK_ROWS + 52])
+@pytest.mark.parametrize("rows", [1, 7, 2100])
 def test_input_gradient_matches_a_pass_that_runs_the_last_softplus(hidden, rows):
     rng = _rng(35)
     mlp = init_mlp([3, *hidden, 1], rng)
@@ -354,7 +354,7 @@ def _assert_close_to_reference(got, want):
 
 
 @pytest.mark.parametrize("hidden", HIDDEN_CASES)
-@pytest.mark.parametrize("rows", [5, nn.ACTIVATION_BLOCK_ROWS + 52])
+@pytest.mark.parametrize("rows", [5, 2100])
 def test_tape_matches_the_reference_tape(hidden, rows):
     rng = _rng(36)
     mlp = init_mlp([2, *hidden, 1], rng)
@@ -408,6 +408,43 @@ def test_grad_potential_strips_time_column():
         model.potential_net, np.hstack([x, np.full((3, 1), 0.4)])
     )
     np.testing.assert_array_equal(g, full[:, :2])
+
+
+@pytest.mark.parametrize("time_conditioned", [False, True])
+def test_grad_potential_runs_in_pair_blocks_that_match_the_whole_pass(
+    time_conditioned, monkeypatch
+):
+    # the pass is the pair mean against a unit mass at 0: a budget of 300
+    # rows at the net's width of 64 splits 1,000 rows into four blocks
+    model = build_model(dim=2, seed=15, time_conditioned=time_conditioned)
+    net = model.potential_net
+    x = 2.0 * _rng(16).normal(size=(1000, 2))
+    time_value = 0.4 if time_conditioned else None
+    whole = input_gradient(net, model._with_time(x, time_value))[:, :2]
+    blocks = []
+    monkeypatch.setattr(
+        nn, "input_gradient", lambda mlp, x: blocks.append(len(x)) or input_gradient(mlp, x)
+    )
+    monkeypatch.setattr("jkoflow.measures.PAIR_BUDGET", 300 * net.width)
+    got = model.grad_potential(x, time_value)
+    assert blocks == [300, 300, 300, 100]
+    assert max(blocks) <= measures.budget_rows(net.width)
+    np.testing.assert_allclose(got, whole, rtol=1e-15, atol=1e-15 * np.abs(whole).max())
+
+
+def test_grad_potential_peak_memory_stays_within_a_pair_block():
+    # a 2,048-row pair block of the default (64, 64) net takes 5.2 MB of
+    # slab; one pass over all 20,000 rows would peak above 30 MB
+    model = build_model(dim=2, seed=17)
+    x = _rng(18).normal(size=(20_000, 2))
+    model.grad_potential(x)
+    tracemalloc.start()
+    try:
+        model.grad_potential(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_grad_interaction_mean_matches_direct_loop():
@@ -748,8 +785,7 @@ def test_loss_matches_two_pass_reference_bit_for_bit(case, monkeypatch):
 
 @pytest.mark.parametrize("hidden", [(16,), (8, 8, 8)])
 def test_pair_tape_loss_matches_the_reference_tape(hidden):
-    # 40 rows against 120 points: one pair block of 4,800 pair rows, more
-    # than an activation block
+    # 40 rows against 120 points: one pair block of 4,800 pair rows
     model = build_model(dim=2, seed=29, with_interaction=True, with_internal=True, hidden=hidden)
     rng = _rng(37)
     n = 40
