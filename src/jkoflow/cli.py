@@ -22,11 +22,7 @@ from . import experiments, ot, trainer
 from .datagen import SCHEMES, GenConfig, generate
 from .features import polynomial_map
 from .functionals import KINDS, EnergySpec, GroundTruthFunction
-from .measures import (
-    load_trajectory,
-    save_coupling,
-    save_trajectory,
-)
+from .measures import load_trajectory, read_json, save_coupling, save_trajectory, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,7 +70,6 @@ def _flag(default=None, **kwargs) -> tuple:
     return default, kwargs
 
 
-_OT_METHODS = ["exact", "sinkhorn"]
 _BOOL = argparse.BooleanOptionalAction
 
 _ABOUT = {
@@ -107,7 +102,7 @@ _FLAGS: dict[str, dict[str, tuple]] = {
     },
     "couple": {
         "data": _flag(help="trajectory directory (train/ subdir preferred)"),
-        "ot_method": _flag(ot.OtConfig.method, choices=_OT_METHODS),
+        "ot_method": _flag(ot.OtConfig.method, choices=ot.METHODS),
         "epsilon": _flag(ot.OtConfig.epsilon, type=float, help="entropic regularization strength"),
         "max_iters": _flag(ot.OtConfig.max_iters, type=int),
         "tolerance": _flag(ot.OtConfig.tolerance, type=float),
@@ -131,7 +126,7 @@ _FLAGS: dict[str, dict[str, tuple]] = {
         "poly_degree": _flag(type=int, help="linear variants: replace the default basis "
                              "with pure per-coordinate polynomials"),
         "seed": _flag(type=int, help="required: shuffling and init are randomized"),
-        "ot_method": _flag(ot.OtConfig.method, choices=_OT_METHODS),
+        "ot_method": _flag(ot.OtConfig.method, choices=ot.METHODS),
         "epsilon": _flag(ot.OtConfig.epsilon, type=float),
         "batch_size": _flag(ot.OtConfig.batch_size, type=int),
         "jobs": _flag(type=int),
@@ -211,13 +206,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         path = Path(args.config)
         if not path.is_file():
             raise _UsageError(f"config file not found: {path}")
-        with open(path) as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise _UsageError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise _UsageError("config file must hold a JSON object")
+        try:
+            file_cfg = read_json(path)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
         unknown = set(file_cfg) - set(resolved)
         if unknown:
             raise _UsageError(f"config keys not recognized for {command}: {sorted(unknown)}")
@@ -244,10 +236,7 @@ def _require(cfg: dict, *keys: str) -> None:
 
 def _echo_config(cfg: dict, command: str, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {k: v for k, v in sorted(cfg.items())}
-    with open(out_dir / f"{command}_config.json", "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-        fh.write("\n")
+    write_json(out_dir / f"{command}_config.json", dict(sorted(cfg.items())))
 
 
 def _trajectory_dir(data: str, prefer: str) -> Path:
@@ -371,9 +360,7 @@ def _cmd_evaluate(cfg: dict) -> int:
             report[key] = model_payload[key]
     report_path = Path(cfg["report"])
     report_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(report_path, report)
     _echo_config(cfg, "evaluate", report_path.parent)
     logger.info("mean EMD %.6g +- %.3g (%s)", report["mean_emd"], report["std_emd"], cfg["scheme"])
     return EXIT_OK
@@ -447,7 +434,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"jko-flow: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         logger.error("%s", exc)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -17,7 +17,6 @@ the minutes range; ``full=True`` picks the large grids, explicit sizes win.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import time
@@ -35,7 +34,7 @@ from .datagen import (
 )
 from .functionals import KINDS, EnergySpec, GroundTruthFunction
 from .features import polynomial_map
-from .measures import PopulationTrajectory, uniform_snapshot
+from .measures import PopulationTrajectory, uniform_snapshot, write_json
 from .trainer import TrainConfig, evaluate, fit, predict
 
 logger = logging.getLogger(__name__)
@@ -62,9 +61,26 @@ def _write_table(out_dir: Path | str | None, name: str, rows: list[dict], report
         writer = csv.DictWriter(fh, fieldnames=keys)
         writer.writeheader()
         writer.writerows(rows)
-    with open(out / f"{name}.json", "w") as fh:
-        json.dump(report, fh, indent=2, default=float)
-        fh.write("\n")
+    write_json(out / f"{name}.json", report)
+
+
+def _report(out_dir, name: str, rows: list[dict], **settings) -> None:
+    """Write ``rows`` and the report ``{"experiment": name, **settings, "rows": rows}``."""
+    _write_table(out_dir, name, rows, {"experiment": name, **settings, "rows": rows})
+
+
+def _dataset(spec: EnergySpec, n_particles: int, dim: int, seed: int):
+    """Train and test halves of the studies' 5-step, tau = 0.01 generation."""
+    return generate(
+        GenConfig(spec=spec, n_particles=n_particles, dim=dim, timesteps=5, tau=0.01, seed=seed)
+    )
+
+
+def _fit_and_score(train: PopulationTrajectory, test: PopulationTrajectory, cfg: TrainConfig):
+    """``fit`` on train, then ``evaluate`` on test: the fit and its EMD columns."""
+    result = fit(train, cfg)
+    report = evaluate(result.model, test)
+    return result, {"mean_emd": report["mean_emd"], "std_emd": report["std_emd"]}
 
 
 def _run_cells(cells, worker, jobs: int) -> list[dict]:
@@ -110,20 +126,16 @@ def run_lightspeed(
         potential_names = list(KINDS) if full else list(DESK_LIGHTSPEED_POTENTIALS)
 
     def worker(name: str) -> list[dict]:
-        spec = EnergySpec(potential=GroundTruthFunction(name, 2))
-        train, test = generate(
-            GenConfig(spec=spec, n_particles=2000, dim=2, timesteps=5, tau=0.01, seed=seed)
-        )
+        train, test = _dataset(EnergySpec(potential=GroundTruthFunction(name, 2)), 2000, 2, seed)
         rows = []
         for variant in ("star_potential", "star_linear_potential"):
-            result = fit(train, TrainConfig(variant=variant, epochs=epochs, seed=seed))
-            report = evaluate(result.model, test)
+            cfg = TrainConfig(variant=variant, epochs=epochs, seed=seed)
+            result, scores = _fit_and_score(train, test, cfg)
             rows.append(
                 {
                     "potential": name,
                     "variant": variant,
-                    "mean_emd": report["mean_emd"],
-                    "std_emd": report["std_emd"],
+                    **scores,
                     "time_per_epoch": result.train_seconds / max(1, len(result.loss_history)),
                     "couple_time": result.couple_seconds,
                     "train_time": result.train_seconds,
@@ -132,19 +144,12 @@ def run_lightspeed(
             )
             logger.info(
                 "lightspeed %s/%s: mean_emd=%.3g couple=%.2fs train=%.2fs",
-                name, variant, report["mean_emd"], result.couple_seconds, result.train_seconds,
+                name, variant, scores["mean_emd"], result.couple_seconds, result.train_seconds,
             )
         return rows
 
     rows = _run_cells(potential_names, worker, jobs)
-    report = {
-        "experiment": "lightspeed",
-        "seed": seed,
-        "epochs": epochs,
-        "potentials": list(potential_names),
-        "rows": rows,
-    }
-    _write_table(out_dir, "lightspeed", rows, report)
+    _report(out_dir, "lightspeed", rows, seed=seed, epochs=epochs, potentials=list(potential_names))
     return rows
 
 
@@ -171,34 +176,19 @@ def run_scaling(
 
     def worker(cell):
         d, n = cell
-        spec = EnergySpec(potential=GroundTruthFunction(potential, d))
-        train, test = generate(
-            GenConfig(spec=spec, n_particles=n, dim=d, timesteps=5, tau=0.01, seed=seed)
-        )
+        train, test = _dataset(EnergySpec(potential=GroundTruthFunction(potential, d)), n, d, seed)
         start = time.perf_counter()
-        result = fit(train, TrainConfig(variant="star_potential", epochs=epochs, seed=seed))
-        report = evaluate(result.model, test)
-        row = {
-            "dim": d,
-            "n_particles": n,
-            "mean_emd": report["mean_emd"],
-            "std_emd": report["std_emd"],
-            "seconds": time.perf_counter() - start,
-        }
-        logger.info("scaling d=%d n=%d: mean_emd=%.3g", d, n, report["mean_emd"])
+        cfg = TrainConfig(variant="star_potential", epochs=epochs, seed=seed)
+        _, scores = _fit_and_score(train, test, cfg)
+        row = {"dim": d, "n_particles": n, **scores, "seconds": time.perf_counter() - start}
+        logger.info("scaling d=%d n=%d: mean_emd=%.3g", d, n, scores["mean_emd"])
         return row
 
     rows = _run_cells(cells, worker, jobs)
-    report = {
-        "experiment": "scaling",
-        "potential": potential,
-        "seed": seed,
-        "epochs": epochs,
-        "dims": list(dims),
-        "particle_counts": list(particle_counts),
-        "rows": rows,
-    }
-    _write_table(out_dir, "scaling", rows, report)
+    _report(
+        out_dir, "scaling", rows, potential=potential, seed=seed, epochs=epochs,
+        dims=list(dims), particle_counts=list(particle_counts),
+    )
     return rows
 
 
@@ -234,48 +224,33 @@ def run_general(
             interaction=GroundTruthFunction(interaction, 2),
             beta=beta,
         )
-        train, test = generate(
-            GenConfig(spec=spec, n_particles=n_particles, dim=2, timesteps=5, tau=0.01, seed=seed)
-        )
+        train, test = _dataset(spec, n_particles, 2, seed)
         rows = []
         for variant in ("star", "star_linear"):
-            result = fit(
-                train,
-                TrainConfig(
-                    variant=variant, epochs=epochs, seed=seed, pin_internal=beta == 0.0
-                ),
-            )
-            report = evaluate(result.model, test)
+            cfg = TrainConfig(variant=variant, epochs=epochs, seed=seed, pin_internal=beta == 0.0)
+            result, scores = _fit_and_score(train, test, cfg)
             rows.append(
                 {
                     "potential": potential,
                     "interaction": interaction,
                     "beta": beta,
                     "variant": variant,
-                    "mean_emd": report["mean_emd"],
-                    "std_emd": report["std_emd"],
+                    **scores,
                     "fitted_beta": float(result.model.beta),
                     "train_time": result.train_seconds,
                 }
             )
             logger.info(
                 "general beta=%.2f %s: mean_emd=%.3g fitted_beta=%.3g",
-                beta, variant, report["mean_emd"], result.model.beta,
+                beta, variant, scores["mean_emd"], result.model.beta,
             )
         return rows
 
     rows = _run_cells(list(betas), worker, jobs)
-    report = {
-        "experiment": "general",
-        "potential": potential,
-        "interaction": interaction,
-        "betas": list(betas),
-        "seed": seed,
-        "epochs": epochs,
-        "n_particles": n_particles,
-        "rows": rows,
-    }
-    _write_table(out_dir, "general", rows, report)
+    _report(
+        out_dir, "general", rows, potential=potential, interaction=interaction,
+        betas=list(betas), seed=seed, epochs=epochs, n_particles=n_particles,
+    )
     return rows
 
 
@@ -333,16 +308,10 @@ def run_time_varying(
                 model_name, scheme, stats["max_deviation"], stats["mean_deviation"],
             )
 
-    report = {
-        "experiment": "time_varying",
-        "seed": seed,
-        "epochs": epochs,
-        "n_particles": n_particles,
-        "timesteps": TIME_VARYING_STEPS,
-        "final_loss": result.loss_history[-1],
-        "rows": rows,
-    }
-    _write_table(out_dir, "time_varying", rows, report)
+    _report(
+        out_dir, "time_varying", rows, seed=seed, epochs=epochs, n_particles=n_particles,
+        timesteps=TIME_VARYING_STEPS, final_loss=result.loss_history[-1],
+    )
     return rows
 
 
@@ -379,19 +348,18 @@ def _gaussian_snapshots(
     return PopulationTrajectory(snaps, tau=1.0)
 
 
-def _observability_fit(traj: PopulationTrajectory, seed: int):
+def _observability_config(seed: int) -> TrainConfig:
     # the snapshots are single Gaussians by construction; a one-component
     # mixture scores them without the wiggle a 10-component fit adds, which
     # otherwise drowns the step-to-step slope signal the diffusion weight
     # is identified from
-    cfg = TrainConfig(
+    return TrainConfig(
         variant="star_linear",
         seed=seed,
         gmm_k=1,
         potential_features=polynomial_map(1, 2),
         interaction_features=polynomial_map(1, 2),
     )
-    return fit(traj, cfg)
 
 
 def run_observability(
@@ -423,16 +391,15 @@ def run_observability(
             test = _gaussian_snapshots(
                 pair["alpha"], pair["beta"], n_particles, n_snapshots, test_rng
             )
-            result = _observability_fit(train, seed)
+            result, scores = _fit_and_score(train, test, _observability_config(seed))
             theta_pot, theta_int, theta_beta = result.model.theta_blocks()
-            emd_report = evaluate(result.model, test)
             rows.append(
                 {
                     "pair": name,
                     "alpha": pair["alpha"],
                     "beta": pair["beta"],
                     "n_snapshots": n_snapshots,
-                    "mean_emd": emd_report["mean_emd"],
+                    "mean_emd": scores["mean_emd"],
                     "quadratic_coefficient": float(theta_pot[1]),
                     "theta_beta": float(theta_beta),
                     "snapshot1_variance": float(train.snapshots[1].points.var()),
@@ -440,7 +407,7 @@ def run_observability(
             )
             logger.info(
                 "observability %s T=%d: emd=%.4g theta_beta=%.4g",
-                name, n_snapshots, emd_report["mean_emd"], theta_beta,
+                name, n_snapshots, scores["mean_emd"], theta_beta,
             )
 
     by_key = {(r["pair"], r["n_snapshots"]): r for r in rows}

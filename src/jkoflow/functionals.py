@@ -20,12 +20,9 @@ from .measures import as_batch
 _NEEDS_HALF_SPLIT = {"holder_table", "ishigami", "friedman", "bohachevsky", "rotational"}
 
 
-def _half_averages(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    d = x.shape[1]
-    h = d // 2
-    z1 = x[:, :h].mean(axis=1)
-    z2 = x[:, h:].mean(axis=1)
-    return z1, z2, h, d - h
+def _half_averages(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    h = x.shape[1] // 2
+    return x[:, :h].mean(axis=1), x[:, h:].mean(axis=1)
 
 
 def _spread_half_gradient(
@@ -159,13 +156,13 @@ def _double_exp_grad(x):
 
 
 def _holder_table(x):
-    z1, z2, _, _ = _half_averages(x)
+    z1, z2 = _half_averages(x)
     r = np.sqrt((x**2).sum(axis=1))
     return 10.0 * np.abs(np.sin(z1) * np.cos(z2)) * np.exp(np.abs(1.0 - r / np.pi))
 
 
 def _holder_table_grad(x):
-    z1, z2, _, _ = _half_averages(x)
+    z1, z2 = _half_averages(x)
     r = np.sqrt((x**2).sum(axis=1))
     inner = np.sin(z1) * np.cos(z2)
     envelope = np.exp(np.abs(1.0 - r / np.pi))
@@ -180,13 +177,13 @@ def _holder_table_grad(x):
 
 
 def _ishigami(x):
-    z1, z2, _, _ = _half_averages(x)
+    z1, z2 = _half_averages(x)
     w = 0.5 * (z1 + z2)
     return np.sin(z1) + 7.0 * np.sin(z2) ** 2 + 0.1 * w**4 * np.sin(z1)
 
 
 def _ishigami_grad(x):
-    z1, z2, _, _ = _half_averages(x)
+    z1, z2 = _half_averages(x)
     w = 0.5 * (z1 + z2)
     df_dz1 = np.cos(z1) + 0.1 * (2.0 * w**3 * np.sin(z1) + w**4 * np.cos(z1))
     df_dz2 = 7.0 * np.sin(2.0 * z2) + 0.2 * w**3 * np.sin(z1)
@@ -194,7 +191,7 @@ def _ishigami_grad(x):
 
 
 def _friedman(x):
-    z1, z2, _, _ = _half_averages(x)
+    z1, z2 = _half_averages(x)
     a, b = z1 - 7.0, z2 - 7.0
     return 0.01 * (
         10.0 * np.sin(2.0 * np.pi * a * b)
@@ -205,7 +202,7 @@ def _friedman(x):
 
 
 def _friedman_grad(x):
-    z1, z2, _, _ = _half_averages(x)
+    z1, z2 = _half_averages(x)
     a, b = z1 - 7.0, z2 - 7.0
     cos_ab = np.cos(2.0 * np.pi * a * b)
     s_term = 2.0 * a * np.sin(b) - 0.5
@@ -226,7 +223,7 @@ def _friedman_grad(x):
 
 
 def _bohachevsky(x):
-    z1, z2, _, _ = _half_averages(x)
+    z1, z2 = _half_averages(x)
     return 10.0 * (
         z1**2
         + 2.0 * z2**2
@@ -236,20 +233,20 @@ def _bohachevsky(x):
 
 
 def _bohachevsky_grad(x):
-    z1, z2, _, _ = _half_averages(x)
+    z1, z2 = _half_averages(x)
     df_dz1 = 10.0 * (2.0 * z1 + 0.9 * np.pi * np.sin(3.0 * np.pi * z1))
     df_dz2 = 10.0 * (4.0 * z2 + 1.6 * np.pi * np.sin(4.0 * np.pi * z2))
     return _spread_half_gradient(x, df_dz1, df_dz2)
 
 
 def _rotational(x):
-    z1, z2, _, _ = _half_averages(x)
+    z1, z2 = _half_averages(x)
     angle = np.arctan2(z2 + 5.0, z1 + 5.0) + np.pi
     return 10.0 * np.maximum(0.0, angle)
 
 
 def _rotational_grad(x):
-    z1, z2, _, _ = _half_averages(x)
+    z1, z2 = _half_averages(x)
     px, py = z1 + 5.0, z2 + 5.0
     r2 = px**2 + py**2
     # angle lies in (0, 2pi], so the ramp is active everywhere except the origin

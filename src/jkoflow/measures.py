@@ -4,10 +4,12 @@ A snapshot is a weighted point cloud; a trajectory is a time-ordered list of
 snapshots sharing a dimension and a step size tau.  Couplings are sparse
 transport plans between consecutive snapshots.  Trajectories round-trip
 through a plain directory layout: ``metadata.json`` plus one CSV per snapshot
-(and optionally one CSV per coupling).  ``pairwise_mean`` averages a function
-of x - y over a population, in row blocks under one memory budget, and
-``as_batch`` is the point-or-batch input rule of the pointwise evaluators;
-``logsumexp`` is the one log-sum-exp of the transport and density layers.
+(and optionally one CSV per coupling); ``read_json`` and ``write_json`` read
+and write every JSON artifact of the package.  ``pairwise_mean`` averages a
+function of x - y over a population, in row blocks under one memory budget,
+and ``as_batch`` is the point-or-batch input rule of the pointwise
+evaluators; ``logsumexp`` is the one log-sum-exp of the transport and
+density layers.
 
 ``exp_flushed`` is ``np.exp`` with arguments below ``EXP_FLOOR`` flushed to
 exactly 0; those results are below 1e-307.  numpy's vector exp leaves its fast
@@ -263,6 +265,27 @@ def pairwise_mean(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, points:
 # directory round-trip
 
 
+def read_json(path: Path | str) -> dict:
+    """The JSON object stored in ``path``.  Text that is not JSON, and JSON
+    that is not an object, raise a ValueError that names the file."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: must hold a JSON object, got {type(data).__name__}")
+    return data
+
+
+def write_json(path: Path | str, payload: dict) -> None:
+    """``payload`` as JSON indented by 2, with a final newline; values that
+    JSON has no type for (numpy scalars) are written as floats."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, default=float)
+        fh.write("\n")
+
+
 def _snapshot_path(directory: Path, t: int) -> Path:
     return directory / f"snapshot_{t:05d}.csv"
 
@@ -303,9 +326,7 @@ def save_trajectory(
         meta["generator"] = generator
     if seed is not None:
         meta["seed"] = seed
-    with open(directory / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(directory / "metadata.json", meta)
     header = [f"x{i}" for i in range(trajectory.dim)] + ["weight"]
     for snap in trajectory.snapshots:
         rows = np.column_stack([snap.points, snap.weights])
@@ -384,34 +405,35 @@ def _parse_rows(path: Path, dim: int) -> tuple[np.ndarray, np.ndarray]:
 def load_trajectory(directory: Path | str) -> PopulationTrajectory:
     """Read a trajectory saved by :func:`save_trajectory`.
 
-    Missing weight columns mean uniform weights.  Malformed rows raise with
-    the offending file and row index.
+    Missing weight columns mean uniform weights.  Every error names the
+    offending file, and a malformed row its index too.
     """
     directory = Path(directory)
     meta_path = directory / "metadata.json"
     if not meta_path.exists():
         raise FileNotFoundError(f"{meta_path} not found")
-    with open(meta_path) as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{meta_path}: not valid JSON: {exc}") from exc
+    meta = read_json(meta_path)
     for key in ("tau", "dim", "timesteps"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing required key {key!r}")
-    dim = int(meta["dim"])
-    n_snapshots = int(meta["timesteps"])
+    try:
+        dim, n_snapshots, tau = int(meta["dim"]), int(meta["timesteps"]), float(meta["tau"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     snapshots = []
     for t in range(n_snapshots):
         path = _snapshot_path(directory, t)
         if not path.exists():
             raise FileNotFoundError(f"{path} listed in metadata but missing")
         pts, w = _parse_rows(path, dim)
-        total = w.sum()
-        if abs(total - 1.0) > WEIGHT_ATOL:
-            raise ValueError(f"{path}: weights sum to {total!r}, expected 1")
-        snapshots.append(EmpiricalSnapshot(pts, w, t))
-    return PopulationTrajectory(snapshots, float(meta["tau"]))
+        try:
+            snapshots.append(EmpiricalSnapshot(pts, w, t))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    try:
+        return PopulationTrajectory(snapshots, tau)
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
 
 
 def save_coupling(coupling: Coupling, directory: Path | str) -> None:

@@ -37,7 +37,7 @@ scalar output.  Weights start Gaussian with std sqrt(1/fan_in), biases zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from math import prod
 
@@ -590,41 +590,24 @@ def _pair_blocks(x_end, steps, populations, width, subsample, rng, dtype):
 class AdamState:
     """Adam moments for a fixed list of parameter arrays.
 
-    Each moment is one flat vector over the parameters' entries, in order, so
-    a step makes the same numpy calls however many arrays there are;
-    ``first`` and ``second`` are per-parameter views into those vectors.
+    ``first`` and ``second`` are each one flat vector over the parameters'
+    entries, in order, so a step makes the same numpy calls however many
+    arrays there are.
     """
 
-    first: list[np.ndarray]
-    second: list[np.ndarray]
+    first: np.ndarray
+    second: np.ndarray
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     clip_norm: float = 10.0
-    _first_flat: np.ndarray = field(init=False, repr=False)
-    _second_flat: np.ndarray = field(init=False, repr=False)
-    _slices: list[slice] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        ends = np.cumsum([np.size(m) for m in self.first]).tolist()
-        self._slices = [slice(end - np.size(m), end) for m, end in zip(self.first, ends)]
-        self._first_flat = np.concatenate([np.ravel(m) for m in self.first])
-        self._second_flat = np.concatenate([np.ravel(v) for v in self.second])
-        self.first = self._views(self._first_flat, self.first)
-        self.second = self._views(self._second_flat, self.second)
-
-    def _views(self, flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-        return [flat[sl].reshape(np.shape(a)) for sl, a in zip(self._slices, like)]
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], lr: float = 1e-3) -> "AdamState":
-        return cls(
-            first=[np.zeros_like(p) for p in params],
-            second=[np.zeros_like(p) for p in params],
-            lr=lr,
-        )
+        size = sum(np.size(p) for p in params)
+        return cls(first=np.zeros(size), second=np.zeros(size), lr=lr)
 
 
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -640,7 +623,7 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
     state.step += 1
     correction1 = 1.0 - state.beta1**state.step
     correction2 = 1.0 - state.beta2**state.step
-    m, v = state._first_flat, state._second_flat
+    m, v = state.first, state.second
     m *= state.beta1
     m += (1.0 - state.beta1) * g
     v *= state.beta2
@@ -649,5 +632,7 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
     v += g
     step = state.lr * (m / correction1)
     step /= np.sqrt(v / correction2) + state.eps
-    for p, update in zip(params, state._views(step, params)):
-        p -= update
+    offset = 0
+    for p in params:
+        p -= step[offset : offset + p.size].reshape(p.shape)
+        offset += p.size

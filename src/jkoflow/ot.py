@@ -36,6 +36,8 @@ _solve_count_lock = threading.Lock()
 # largest weight holds pivot rounding (1/78 - 1/88 and the like), not mass
 _ROUNDING_ULPS = 64
 
+METHODS = ("exact", "sinkhorn")
+
 
 def reset_solve_count() -> None:
     global _solve_count
@@ -65,8 +67,9 @@ class OtConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.method not in ("exact", "sinkhorn"):
-            raise ValueError(f"method must be 'exact' or 'sinkhorn', got {self.method!r}")
+        if self.method not in METHODS:
+            names = " or ".join(map(repr, METHODS))
+            raise ValueError(f"method must be {names}, got {self.method!r}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iters < 1:
@@ -472,23 +475,60 @@ def _solve_pair(
     )
 
 
+def _cut_runs(
+    weights: np.ndarray, order: np.ndarray, cuts: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The particles of ``order`` in runs cut at the cumulative masses
+    ``cuts``, each run with its particles' masses in it.  A particle wholly
+    inside a run keeps its weight; one that straddles a cut is split at it.
+    A cut within cumsum rounding of a particle boundary moves onto it."""
+    w = weights[order]
+    hi = np.cumsum(w)
+    lo = np.concatenate([[0.0], hi[:-1]])
+    tol = len(w) * np.finfo(np.float64).eps
+    near = np.minimum(np.searchsorted(hi, cuts - tol), len(w) - 1)
+    cuts = np.where(np.abs(hi[near] - cuts) <= tol, hi[near], cuts)
+    bounds = np.concatenate([[-np.inf], cuts, [np.inf]])
+    runs = []
+    for low, high in zip(bounds[:-1], bounds[1:]):
+        first = np.searchsorted(hi, low, side="right")
+        run = slice(first, min(np.searchsorted(hi, high), len(w) - 1) + 1)
+        inside = (lo[run] >= low) & (hi[run] <= high)
+        split = np.minimum(hi[run], high) - np.maximum(lo[run], low)
+        runs.append((order[run], np.where(inside, w[run], split)))
+    return runs
+
+
 def _couple_batched(
     source: EmpiricalSnapshot, target: EmpiricalSnapshot, config: OtConfig
 ) -> Coupling:
-    """Split both snapshots into aligned random batches, solve each pair of
-    batches independently, then merge with each sub-plan carrying its batch's
-    share of the total mass (1/num_batches for equal-sized batches)."""
+    """Couple aligned random runs of the two snapshots, one solve a pair.
+
+    Each side is shuffled in its own seeded order.  The side with more
+    particles (the source on a tie) is split by count into runs of at most
+    ``batch_size``; the other is cut at the same cumulative masses
+    (``_cut_runs``).  Each sub-plan carries its run's share of the mass."""
     n_batches = int(np.ceil(max(source.n_particles, target.n_particles) / config.batch_size))
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(source.time_index, target.time_index))
     )
-    src_parts = np.array_split(rng.permutation(source.n_particles), n_batches)
-    tgt_parts = np.array_split(rng.permutation(target.n_particles), n_batches)
+    src_order = rng.permutation(source.n_particles)
+    tgt_order = rng.permutation(target.n_particles)
+    by_count = source.n_particles >= target.n_particles
+    sides = [(source, src_order), (target, tgt_order)]
+    (big, big_order), (small, small_order) = sides if by_count else sides[::-1]
+    big_parts = np.array_split(big_order, n_batches)
+    ends = np.cumsum([len(part) for part in big_parts[:-1]], dtype=np.int64)
+    cuts = np.cumsum(big.weights[big_order])[ends - 1]
+    small_runs = _cut_runs(small.weights, small_order, cuts)
     all_src, all_tgt, all_mass = [], [], []
-    for src_idx, tgt_idx in zip(src_parts, tgt_parts):
-        sw = source.weights[src_idx]
-        tw = target.weights[tgt_idx]
-        share = float(sw.sum())
+    for big_idx, (small_idx, small_w) in zip(big_parts, small_runs):
+        big_w = big.weights[big_idx]
+        share = float(big_w.sum())
+        if share <= 0 or not small_w.sum() > 0:
+            continue  # a run without mass on one side carries none on the other
+        runs = [(big_idx, big_w), (small_idx, small_w)]
+        (src_idx, sw), (tgt_idx, tw) = runs if by_count else runs[::-1]
         sub_source = EmpiricalSnapshot(source.points[src_idx], sw / sw.sum(), source.time_index)
         sub_target = EmpiricalSnapshot(target.points[tgt_idx], tw / tw.sum(), target.time_index)
         sub = _solve_pair(sub_source, sub_target, config)

@@ -21,11 +21,11 @@ that generates data from the true energies; it is importable from here too.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,15 +39,26 @@ from .nn import AdamState, MlpEnergyModel, adam_step, build_model, loss_and_para
 
 logger = logging.getLogger(__name__)
 
-VARIANTS = (
-    "star",
-    "star_potential",
-    "star_linear",
-    "star_linear_potential",
-    "star_time_potential",
-)
-_LINEAR_VARIANTS = ("star_linear", "star_linear_potential")
-_INTERNAL_VARIANTS = ("star", "star_linear")
+
+class _Parts(NamedTuple):
+    """What a variant fits: closed-form linear maps (else networks), an
+    interaction term, a diffusion term, and time as a potential input."""
+
+    linear: bool
+    interaction: bool
+    diffusion: bool
+    time_input: bool
+
+
+_PARTS = {
+    #                                linear interaction diffusion time_input
+    "star":                  _Parts(False,  True,       True,     False),
+    "star_potential":        _Parts(False,  False,      False,    False),
+    "star_linear":           _Parts(True,   True,       True,     False),
+    "star_linear_potential": _Parts(True,   False,      False,    False),
+    "star_time_potential":   _Parts(False,  False,      False,    True),
+}
+VARIANTS = tuple(_PARTS)
 
 
 @dataclass
@@ -87,9 +98,10 @@ class TrainConfig:
         if self.interaction_subsample < 0:
             raise ValueError("interaction_subsample must be >= 0")
         has_features = self.potential_features is not None or self.interaction_features is not None
-        if has_features and self.variant not in _LINEAR_VARIANTS:
+        if has_features and not _PARTS[self.variant].linear:
+            linear = tuple(name for name, parts in _PARTS.items() if parts.linear)
             raise ValueError(
-                f"feature maps apply only to the linear variants {_LINEAR_VARIANTS}, "
+                f"feature maps apply only to the linear variants {linear}, "
                 f"not {self.variant!r}"
             )
 
@@ -147,14 +159,15 @@ def fit(train: PopulationTrajectory, cfg: TrainConfig) -> FitResult:
     couple_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    internal = cfg.variant in _INTERNAL_VARIANTS and not cfg.pin_internal
+    parts = _PARTS[cfg.variant]
+    internal = parts.diffusion and not cfg.pin_internal
     gmms = _fit_gmms(train, cfg) if internal else None
     em = [gmm.em for gmm in gmms[1:]] if gmms is not None else []
 
-    if cfg.variant in _LINEAR_VARIANTS:
+    if parts.linear:
         potential_map = cfg.potential_features or build_default(train.dim)
         interaction_map = None
-        if cfg.variant == "star_linear":
+        if parts.interaction:
             interaction_map = cfg.interaction_features or build_default(train.dim)
         template = LinearEnergyModel(
             potential_map=potential_map,
@@ -165,7 +178,7 @@ def fit(train: PopulationTrajectory, cfg: TrainConfig) -> FitResult:
         model, loss = fit_linear(template, train, couplings, gmms)
         history = [loss]
     else:
-        model, history = _fit_mlp(train, couplings, gmms, cfg, internal)
+        model, history = _fit_mlp(train, couplings, gmms, cfg, parts, internal)
     train_seconds = time.perf_counter() - t1
     return FitResult(model, history, couple_seconds, train_seconds, em)
 
@@ -175,14 +188,15 @@ def _fit_mlp(
     couplings,
     gmms,
     cfg: TrainConfig,
+    parts: _Parts,
     internal: bool,
 ) -> tuple[MlpEnergyModel, list[float]]:
     model = build_model(
         dim=train.dim,
         seed=cfg.seed,
-        with_interaction=cfg.variant == "star",
+        with_interaction=parts.interaction,
         with_internal=internal,
-        time_conditioned=cfg.variant == "star_time_potential",
+        time_conditioned=parts.time_input,
         hidden=cfg.hidden,
     )
     params = model.parameters()
@@ -281,9 +295,7 @@ def evaluate(
 
 def save_model(model, path: Path | str, **provenance) -> None:
     """Write ``model`` as one JSON checkpoint; ``provenance`` keys ride along."""
-    with open(path, "w") as fh:
-        json.dump({**model.to_json(), **provenance}, fh, indent=2)
-        fh.write("\n")
+    measures.write_json(path, {**model.to_json(), **provenance})
 
 
 def load_model(path: Path | str):
@@ -293,13 +305,7 @@ def load_model(path: Path | str):
 def load_checkpoint(path: Path | str) -> tuple[MlpEnergyModel | LinearEnergyModel, dict]:
     """The model a checkpoint holds, and the checkpoint's whole payload (its
     provenance keys too), from one read.  Every error names the file."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: a checkpoint must hold a JSON object")
+    data = measures.read_json(path)
     kind = data.get("kind")
     cls = {"mlp": MlpEnergyModel, "linear": LinearEnergyModel}.get(kind)
     if cls is None:

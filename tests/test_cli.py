@@ -414,11 +414,11 @@ def test_malformed_checkpoints_exit_one_and_name_the_file(
     assert not (tmp_path / "result").exists()
 
 
-def _broken_metadata_dataset(flat_dataset, tmp_path) -> Path:
+def _broken_metadata_dataset(flat_dataset, tmp_path, text="{") -> Path:
     data = tmp_path / "broken"
     shutil.copytree(flat_dataset, data)
     for split in ("train", "test"):
-        (data / split / "metadata.json").write_text("{")
+        (data / split / "metadata.json").write_text(text)
     return data
 
 
@@ -452,6 +452,31 @@ def test_broken_metadata_names_the_file_on_stderr(flat_dataset, tmp_path):
     )
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert f"{data / 'test' / 'metadata.json'}: not valid JSON" in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]"], ids=["number", "list"])
+@pytest.mark.parametrize("command", ["couple", "train", "evaluate", "predict"])
+def test_metadata_that_is_not_an_object_exits_one_and_names_the_file(
+    flat_dataset, tmp_path, command, text, caplog
+):
+    data = _broken_metadata_dataset(flat_dataset, tmp_path, text)
+    assert run(*_broken_metadata_argv(command, data, tmp_path)) == EXIT_USAGE
+    split = "train" if command in ("couple", "train") else "test"
+    assert f"{data / split / 'metadata.json'}: must hold a JSON object" in caplog.text
+    assert not (tmp_path / "result").exists()
+
+
+def test_invalid_snapshot_exits_one_and_names_the_file(flat_dataset, tmp_path, caplog):
+    data = tmp_path / "nan"
+    shutil.copytree(flat_dataset, data)
+    path = data / "train" / "snapshot_00002.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = "nan," + lines[1].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.json"
+    assert run("train", "--data", str(data), "--seed", "1", "--out", str(out)) == EXIT_USAGE
+    assert f"{path}: points must be finite" in caplog.text
+    assert not out.exists()
 
 
 def test_beta_noise_requires_seed(flat_dataset, tmp_path):
@@ -744,6 +769,16 @@ def test_bad_config_files_exit_one(tmp_path, content, message, capsys):
     )
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_an_object_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1, 2]")
+    code = run("generate", "--config", str(cfg_path), "--potential", "flat", "--seed", "1",
+               "--out", str(tmp_path / "d"))
+    assert code == EXIT_USAGE
+    assert f"jko-flow: {cfg_path}: must hold a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_train_config_file_values_follow_the_flag_types(flat_dataset, tmp_path, capsys):

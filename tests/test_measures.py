@@ -1,6 +1,7 @@
 """Snapshot/trajectory/coupling containers and their file formats."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from jkoflow.measures import (
     coupling_path,
     exp_flushed,
     logsumexp,
+    read_json,
+    write_json,
 )
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -146,8 +149,6 @@ class TestTrajectoryIO:
     def test_metadata_contents(self, rng, tmp_path):
         traj = random_trajectory(rng, steps=3)
         save_trajectory(traj, tmp_path, generator="g", seed=4)
-        import json
-
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert meta["timesteps"] == 4
         assert meta["dim"] == 2
@@ -178,6 +179,50 @@ class TestTrajectoryIO:
         (tmp_path / "metadata.json").write_text("{")
         with pytest.raises(ValueError, match="metadata.json: not valid JSON"):
             load_trajectory(tmp_path)
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"tau"', "null"])
+    def test_metadata_that_is_not_an_object_names_the_file(self, rng, tmp_path, text):
+        save_trajectory(random_trajectory(rng, steps=1), tmp_path)
+        (tmp_path / "metadata.json").write_text(text)
+        with pytest.raises(ValueError, match="metadata.json: must hold a JSON object"):
+            load_trajectory(tmp_path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"dim": None}, "int()"),
+            ({"tau": "fast"}, "could not convert"),
+            ({"tau": -1.0}, "tau must be positive"),
+            ({"timesteps": 0}, "at least one snapshot"),
+        ],
+        ids=["null-dim", "text-tau", "negative-tau", "no-snapshots"],
+    )
+    def test_bad_metadata_values_name_the_file(self, rng, tmp_path, change, message):
+        save_trajectory(random_trajectory(rng, steps=1), tmp_path)
+        meta = read_json(tmp_path / "metadata.json")
+        write_json(tmp_path / "metadata.json", {**meta, **change})
+        with pytest.raises(ValueError, match="metadata.json: ") as err:
+            load_trajectory(tmp_path)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan,0.5,0.4", "points must be finite"),
+            ("0.5,0.5,-0.1", "weights must be non-negative"),
+            ("0.5,0.5,0.2", "weights must sum to 1 within 1e-09, got 0.8"),
+        ],
+        ids=["nan-point", "negative-weight", "short-weights"],
+    )
+    def test_invalid_snapshot_names_the_file(self, tmp_path, row, message):
+        # the rows parse; the snapshot they make is invalid
+        one_snapshot = PopulationTrajectory([uniform_snapshot(np.zeros((2, 2)), 0)], 0.1)
+        save_trajectory(one_snapshot, tmp_path)
+        path = tmp_path / "snapshot_00000.csv"
+        path.write_text(f"x0,x1,weight\n0,0,0.6\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            load_trajectory(tmp_path)
+        assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "text, dim, points, weights",
@@ -234,6 +279,35 @@ class TestTrajectoryIO:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_trajectory(tmp_path / "nope")
+
+
+class TestJson:
+    def test_write_json_indents_by_two_and_ends_with_a_newline(self, tmp_path):
+        payload = {"b": [1, 2.5], "a": {"nested": None}, "flag": True, "text": "x"}
+        write_json(tmp_path / "out.json", payload)
+        assert (tmp_path / "out.json").read_text() == json.dumps(payload, indent=2) + "\n"
+        assert read_json(tmp_path / "out.json") == payload
+
+    def test_write_json_writes_numpy_scalars_as_floats(self, tmp_path):
+        write_json(tmp_path / "out.json", {"mean": np.float64(0.5), "dim": np.int64(2)})
+        assert read_json(tmp_path / "out.json") == {"mean": 0.5, "dim": 2.0}
+        assert '"dim": 2.0' in (tmp_path / "out.json").read_text()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{", "not valid JSON"),
+            (b"\xff\xfe", "not valid JSON"),
+            (b"[1, 2]", "must hold a JSON object, got list"),
+            (b"7", "must hold a JSON object, got int"),
+        ],
+        ids=["truncated", "not-text", "list", "number"],
+    )
+    def test_read_json_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "artifact.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"artifact.json: {message}"):
+            read_json(path)
 
 
 class TestCouplingIO:

@@ -964,8 +964,8 @@ def test_adam_clips_global_norm_before_moments():
     state = AdamState.for_params([p])
     g = np.array([12.0, 16.0])  # norm 20, clip 10 halves it
     adam_step(state, [p], [g])
-    np.testing.assert_allclose(state.first[0], 0.1 * g / 2, rtol=1e-15)
-    np.testing.assert_allclose(state.second[0], 0.001 * (g / 2) ** 2, rtol=1e-15)
+    np.testing.assert_allclose(state.first, 0.1 * g / 2, rtol=1e-15)
+    np.testing.assert_allclose(state.second, 0.001 * (g / 2) ** 2, rtol=1e-15)
     np.testing.assert_array_equal(g, [12.0, 16.0])  # caller's array untouched
 
 
@@ -973,15 +973,14 @@ def test_adam_clip_uses_joint_norm_across_params():
     p1, p2 = np.zeros(1), np.zeros(1)
     state = AdamState.for_params([p1, p2])
     adam_step(state, [p1, p2], [np.array([12.0]), np.array([16.0])])
-    np.testing.assert_allclose(state.first[0], [0.6], rtol=1e-15)
-    np.testing.assert_allclose(state.first[1], [0.8], rtol=1e-15)
+    np.testing.assert_allclose(state.first, [0.6, 0.8], rtol=1e-15)
 
 
 def test_adam_no_clip_below_threshold():
     p = np.zeros(1)
     state = AdamState.for_params([p])
     adam_step(state, [p], [np.array([9.0])])
-    np.testing.assert_allclose(state.first[0], [0.9], rtol=1e-15)
+    np.testing.assert_allclose(state.first, [0.9], rtol=1e-15)
 
 
 def test_adam_descends_quadratic_toy_objective():
@@ -1028,7 +1027,9 @@ def test_flat_adam_matches_a_per_array_loop(scale, clipped):
     assert state.step == 50
     want_params = [p.copy() for p in start]
     want_first, want_second = _reference_adam(want_params, grads_seq)
-    for got, want in zip(params + state.first + state.second, want_params + want_first + want_second):
+    # the moments are flat vectors over the parameters' entries, in order
+    want_moments = [np.concatenate([np.ravel(m) for m in ms]) for ms in (want_first, want_second)]
+    for got, want in zip(params + [state.first, state.second], want_params + want_moments):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 

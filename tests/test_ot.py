@@ -631,6 +631,86 @@ def test_large_batch_size_equals_exact(rng):
     np.testing.assert_allclose(direct.masses, via_config.masses)
 
 
+@pytest.mark.parametrize(
+    "method, n, m, batch_size", [("exact", 250, 210, 100), ("sinkhorn", 2500, 2100, 1000)]
+)
+def test_batched_coupling_of_ragged_uniform_counts_keeps_the_marginals(
+    rng, method, n, m, batch_size
+):
+    # the counts split unevenly into runs: 84/83/83 source particles against
+    # 70 target particles a run, so a run's mass differs between the sides
+    mu = uniform_snapshot(rng.normal(size=(n, 2)), 0)
+    nu = uniform_snapshot(rng.normal(size=(m, 2)), 1)
+    reset_solve_count()
+    plan = couple_snapshots(mu, nu, OtConfig(method=method, batch_size=batch_size))
+    assert get_solve_count() == 3
+    check_coupling_marginals(plan, mu, nu)
+
+
+@pytest.mark.parametrize("method", ["exact", "sinkhorn"])
+def test_batched_coupling_of_weighted_snapshots_keeps_the_marginals(rng, method):
+    mu = random_snapshot(rng, 30, 2, 0, uniform=False)
+    nu = random_snapshot(rng, 30, 2, 1, uniform=False)
+    plan = couple_snapshots(mu, nu, OtConfig(method=method, batch_size=10))
+    check_coupling_marginals(plan, mu, nu)
+
+
+@pytest.mark.parametrize("n, m", [(25, 2), (2, 25)])
+def test_batched_coupling_with_fewer_particles_than_runs_on_one_side(rng, n, m):
+    # five runs of five on the larger side; each of the two particles on the
+    # other is split over the runs its mass spans
+    mu = uniform_snapshot(rng.normal(size=(n, 2)), 0)
+    nu = uniform_snapshot(rng.normal(size=(m, 2)), 1)
+    plan = couple_snapshots(mu, nu, OtConfig(batch_size=5))
+    check_coupling_marginals(plan, mu, nu)
+    assert sorted(np.unique(plan.source_indices if n < m else plan.target_indices)) == [0, 1]
+
+
+@pytest.mark.parametrize("reweigh", [False, True])
+def test_equal_count_uniform_runs_match_particle_for_particle(rng, reweigh):
+    # uniform sides of one count are cut at the same particle counts, so the
+    # plan stays a permutation; renormalized weights that differ from 1/n in
+    # the last bit leave cumsums that do too, and the cuts still land on
+    # particle boundaries
+    mu = uniform_snapshot(rng.normal(size=(20, 2)), 0)
+    w = np.full(20, 0.7 / 20)
+    nu = EmpiricalSnapshot(rng.normal(size=(20, 2)), w / w.sum() if reweigh else mu.weights, 1)
+    assert (np.cumsum(nu.weights)[4] != np.cumsum(mu.weights)[4]) == reweigh
+    plan = couple_snapshots(mu, nu, OtConfig(batch_size=5))
+    assert sorted(plan.source_indices) == sorted(plan.target_indices) == list(range(20))
+    np.testing.assert_array_equal(plan.masses, np.full(20, 1.0 / 20))
+
+
+def test_batched_coupling_skips_runs_without_mass(rng):
+    # half the source particles weigh nothing, so some seeds shuffle a whole
+    # run of them together; such a run carries no mass on either side
+    w = np.repeat([1.0 / 3.0, 0.0], 3)
+    mu = EmpiricalSnapshot(rng.normal(size=(6, 2)), w, 0)
+    nu = uniform_snapshot(rng.normal(size=(6, 2)), 1)
+    solves = set()
+    for seed in range(10):
+        reset_solve_count()
+        plan = couple_snapshots(mu, nu, OtConfig(batch_size=2, seed=seed))
+        check_coupling_marginals(plan, mu, nu)
+        solves.add(get_solve_count())
+    assert min(solves) < 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    m=st.integers(2, 40),
+    batch_size=st.integers(2, 15),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_coupling_marginals_hold_for_any_counts(n, m, batch_size, uniform, seed):
+    rng = np.random.default_rng(seed)
+    mu = random_snapshot(rng, n, 2, 0, uniform=uniform)
+    nu = random_snapshot(rng, m, 2, 1, uniform=uniform)
+    check_coupling_marginals(couple_snapshots(mu, nu, OtConfig(batch_size=batch_size)), mu, nu)
+
+
 def test_solve_counter_resets(rng):
     snap = uniform_snapshot(rng.normal(size=(3, 1)), 0)
     reset_solve_count()
